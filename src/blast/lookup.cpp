@@ -13,53 +13,58 @@ NucLookup::NucLookup(std::span<const std::uint8_t> concat, int word_size)
   MRBIO_REQUIRE(word_size >= kMinWord && word_size <= kMaxWord,
                 "nucleotide word size must be in [", kMinWord, ", ", kMaxWord, "], got ",
                 word_size);
-  const std::size_t nbuckets = std::size_t{1} << (2 * word_size);
-  const std::uint32_t mask = static_cast<std::uint32_t>(nbuckets - 1);
+  const std::size_t nwords = std::size_t{1} << (2 * word_size);
+  const std::uint32_t mask = static_cast<std::uint32_t>(nwords - 1);
   const simd::Kernels& kern = simd::kernels();
 
-  // Both passes scan the concatenation in 48-byte blocks through the
+  // One scan of the concatenation in 48-byte blocks through the
   // word-scan kernel: codes[i] is the rolling packed word ending at block
   // position i, and a set valid bit means all word_size bases ending
   // there are unambiguous (the kernel carries word/history across
   // blocks). A word is indexable only if it's valid — garbage codes at
-  // invalid positions are never read.
+  // invalid positions are never read. Offsets are those of the word's
+  // first base; valid bits iterate lowest-first, so they come ascending.
   constexpr std::size_t kBlock = 48;
   std::uint32_t codes[kBlock];
   std::uint64_t valid = 0;
-
-  // Pass 1: count words.
-  std::vector<std::uint32_t> counts(nbuckets + 1, 0);
   std::uint32_t word = 0;
   std::uint64_t hist = 0;
+  std::vector<std::uint32_t> words;    // word of each indexed window
+  std::vector<std::uint32_t> offsets;  // its first base
+  words.reserve(concat.size());
+  offsets.reserve(concat.size());
+  presence_.assign(nwords / 64, 0);
   for (std::size_t base = 0; base < concat.size(); base += kBlock) {
     const std::size_t m = std::min(kBlock, concat.size() - base);
     kern.dna_words(concat.data() + base, m, word_size, mask, &word, &hist, codes, &valid);
     while (valid != 0) {
       const int i = std::countr_zero(valid);
       valid &= valid - 1;
-      ++counts[codes[i]];
+      presence_[codes[i] >> 6] |= std::uint64_t{1} << (codes[i] & 63);
+      words.push_back(codes[i]);
+      offsets.push_back(static_cast<std::uint32_t>(
+          base + static_cast<std::size_t>(i) + 1 - static_cast<std::size_t>(word_size)));
     }
   }
 
-  starts_.assign(nbuckets + 1, 0);
-  for (std::size_t b = 0; b < nbuckets; ++b) starts_[b + 1] = starts_[b] + counts[b];
-  positions_.resize(starts_[nbuckets]);
+  rank_.resize(presence_.size());
+  std::uint32_t present = 0;
+  for (std::size_t i = 0; i < presence_.size(); ++i) {
+    rank_[i] = present;
+    present += static_cast<std::uint32_t>(std::popcount(presence_[i]));
+  }
 
-  // Pass 2: fill. Positions are the offsets of the word's first base;
-  // valid bits iterate lowest-first, so positions stay in ascending order.
+  // Stable counting sort of the offsets by their word's rank; each entry
+  // of `words` is replaced by that rank on the way.
+  starts_.assign(std::size_t{present} + 1, 0);
+  for (std::uint32_t& w : words) {
+    w = rank_of(w, presence_[w >> 6]);
+    ++starts_[w + 1];
+  }
+  for (std::uint32_t r = 0; r < present; ++r) starts_[r + 1] += starts_[r];
+  positions_.resize(offsets.size());
   std::vector<std::uint32_t> cursor(starts_.begin(), starts_.end() - 1);
-  word = 0;
-  hist = 0;
-  for (std::size_t base = 0; base < concat.size(); base += kBlock) {
-    const std::size_t m = std::min(kBlock, concat.size() - base);
-    kern.dna_words(concat.data() + base, m, word_size, mask, &word, &hist, codes, &valid);
-    while (valid != 0) {
-      const int i = std::countr_zero(valid);
-      valid &= valid - 1;
-      positions_[cursor[codes[i]]++] = static_cast<std::uint32_t>(
-          base + static_cast<std::size_t>(i) + 1 - static_cast<std::size_t>(word_size));
-    }
-  }
+  for (std::size_t k = 0; k < words.size(); ++k) positions_[cursor[words[k]]++] = offsets[k];
 }
 
 ProtLookup::ProtLookup(std::span<const std::uint8_t> concat, int threshold,

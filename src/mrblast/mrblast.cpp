@@ -242,6 +242,11 @@ RealRunResult run_blast_mr(mpi::Comm& comm, const RealRunConfig& config) {
       }
       if (reg != nullptr) {
         reg->histogram("blast.search_seconds").observe(comm.now() - t_search);
+        const blast::SearchStats& st = searcher.last_stats();
+        reg->counter("blast.word_hits").inc(st.word_hits);
+        reg->counter("blast.ungapped_extensions").inc(st.ungapped_extensions);
+        reg->counter("blast.gapped_extensions").inc(st.gapped_extensions);
+        reg->counter("blast.hsps_reported").inc(st.hsps_reported);
       }
       for (const auto& qr : results) {
         for (const auto& hsp : qr.hsps) {

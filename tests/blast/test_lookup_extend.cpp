@@ -1,11 +1,15 @@
 // Tests for the lookup tables and both extension stages.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "blast/extend.hpp"
 #include "blast/lookup.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace mrbio::blast {
 namespace {
@@ -53,17 +57,60 @@ TEST(NucLookup, WordSizeBoundsEnforced) {
 }
 
 TEST(NucLookup, CountsMatchBruteForce) {
-  // Property: total indexed positions == number of clean windows.
-  const auto seq = encode_dna("ACGTACGTNACGTTTTACGTA");
-  const int w = 5;
-  NucLookup lut(seq, w);
-  std::size_t expected = 0;
-  for (std::size_t i = 0; i + w <= seq.size(); ++i) {
-    bool clean = true;
-    for (int k = 0; k < w; ++k) clean &= seq[i + static_cast<std::size_t>(k)] < 4;
-    expected += clean ? 1 : 0;
+  // Property: every word's run equals an independently built word ->
+  // ascending offsets map. The input breaks words with N and sentinel
+  // bytes and holds poly-A and poly-T runs, so words 0 and 4^w - 1 (the
+  // two ends of the presence vector) are present.
+  Rng rng(7);
+  std::vector<std::uint8_t> seq(4000);
+  for (auto& c : seq) {
+    const double u = rng.uniform();
+    c = u < 0.02   ? kDnaAmbig
+        : u < 0.03 ? kSentinel
+                   : static_cast<std::uint8_t>(rng.below(4));
   }
-  EXPECT_EQ(lut.total_positions(), expected);
+  std::fill_n(seq.begin() + 100, 20, std::uint8_t{0});
+  std::fill_n(seq.begin() + 2000, 20, std::uint8_t{3});
+
+  for (const int w : {4, 8, 11, 13}) {
+    const auto wl = static_cast<std::size_t>(w);
+    std::map<std::uint32_t, std::vector<std::uint32_t>> expected;
+    std::size_t total = 0;
+    for (std::size_t i = 0; i + wl <= seq.size(); ++i) {
+      std::uint32_t word = 0;
+      bool clean = true;
+      for (std::size_t k = 0; k < wl; ++k) {
+        clean &= seq[i + k] < 4;
+        word = (word << 2) | (seq[i + k] & 3u);
+      }
+      if (!clean) continue;
+      expected[word].push_back(static_cast<std::uint32_t>(i));
+      ++total;
+    }
+    const std::uint32_t nwords = std::uint32_t{1} << (2 * w);
+    ASSERT_TRUE(expected.contains(0) && expected.contains(nwords - 1)) << "w=" << w;
+
+    const NucLookup lut(seq, w);
+    EXPECT_EQ(lut.total_positions(), total) << "w=" << w;
+    const auto check = [&](std::uint32_t word) {
+      const auto got = lut.hits(word);
+      const auto it = expected.find(word);
+      const std::vector<std::uint32_t> want =
+          it == expected.end() ? std::vector<std::uint32_t>{} : it->second;
+      EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()), want)
+          << "w=" << w << " word=" << word;
+    };
+    if (w <= 8) {
+      for (std::uint32_t word = 0; word < nwords; ++word) check(word);
+    } else {
+      for (const auto& entry : expected) {
+        const std::uint32_t word = entry.first;
+        check(word);
+        if (word > 0) check(word - 1);
+        if (word + 1 < nwords) check(word + 1);
+      }
+    }
+  }
 }
 
 TEST(ProtLookup, ExactModeIndexesOnlyOwnWords) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "common/rng.hpp"
@@ -345,6 +346,98 @@ TEST(Search, EmptyQueryBlockOk) {
   const auto vol = make_volume({random_sequence(rng, "t", 100, SeqType::Dna)}, SeqType::Dna);
   BlastSearcher searcher(vol, dna_options());
   EXPECT_TRUE(searcher.search({}).empty());
+}
+
+/// FNV-1a over the integer fields of every HSP, in result order. Float
+/// fields (bit score, E-value) stay out so a different libm cannot move
+/// the digest; the order itself depends only on raw scores and ids.
+std::uint64_t hsp_digest(const std::vector<QueryResult>& results) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const QueryResult& qr : results) {
+    mix(qr.hsps.size());
+    for (const Hsp& hsp : qr.hsps) {
+      for (const char c : hsp.subject_id) mix(static_cast<unsigned char>(c));
+      mix(hsp.q_start);
+      mix(hsp.q_end);
+      mix(hsp.s_start);
+      mix(hsp.s_end);
+      mix(hsp.minus_strand ? 1 : 0);
+      mix(static_cast<std::uint32_t>(hsp.raw_score));
+      mix(hsp.identities);
+      mix(hsp.align_len);
+      mix(hsp.gaps);
+    }
+  }
+  return h;
+}
+
+TEST(Search, GoldenDnaBlockOutput) {
+  // Every other byte-identity test compares the engine with itself (across
+  // ISA level, backend, scheduler), so an output change that happens
+  // everywhere at once would pass them. This one pins the output of a
+  // fixed block search to constants recorded with the earlier
+  // direct-addressed word lookup; update them only for an intended change
+  // of results.
+  Rng rng(20110516);
+  std::vector<Sequence> genomes;
+  for (int g = 0; g < 4; ++g) {
+    genomes.push_back(random_sequence(rng, "g" + std::to_string(g), 3000, SeqType::Dna));
+  }
+  const auto vol = make_volume(genomes, SeqType::Dna);
+
+  // Reads: shredded from diverged copies, every third one reverse
+  // complemented, with scattered Ns, a few indels and one low-complexity
+  // run, so every stage, both strands and DUST have work to do.
+  std::vector<Sequence> copies;
+  for (const Sequence& g : genomes) copies.push_back(mutate(rng, g, g.id, 0.08, SeqType::Dna));
+  std::vector<Sequence> reads = shred(copies, 300, 100, 50);
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    Sequence& r = reads[i];
+    if (i % 3 == 0) r.data = reverse_complement(r.data);
+    for (auto& c : r.data) {
+      if (rng.uniform() < 0.01) c = kDnaAmbig;
+    }
+    if (rng.uniform() < 0.3) {
+      const auto at = static_cast<std::ptrdiff_t>(rng.below(r.data.size()));
+      if (rng.uniform() < 0.5) {
+        r.data.insert(r.data.begin() + at, 1 + rng.below(3), std::uint8_t{2});
+      } else {
+        r.data.erase(r.data.begin() + at,
+                     r.data.begin() + std::min<std::ptrdiff_t>(
+                                          at + 2, static_cast<std::ptrdiff_t>(r.data.size())));
+      }
+    }
+  }
+  std::fill_n(reads[5].data.begin() + 40, 80, std::uint8_t{0});  // poly-A
+
+  SearchOptions opts;  // blastn defaults: both strands, DUST on
+  ASSERT_TRUE(opts.both_strands);
+  ASSERT_TRUE(opts.filter_low_complexity);
+  BlastSearcher searcher(vol, opts);
+  const auto results = searcher.search(reads);
+  const SearchStats& st = searcher.last_stats();
+  std::size_t gapped = 0;
+  std::size_t minus = 0;
+  for (const QueryResult& qr : results) {
+    for (const Hsp& hsp : qr.hsps) {
+      gapped += hsp.gaps > 0 ? 1 : 0;
+      minus += hsp.minus_strand ? 1 : 0;
+    }
+  }
+  ASSERT_GT(gapped, 0u);
+  ASSERT_GT(minus, 0u);
+
+  EXPECT_EQ(hsp_digest(results), 0x819b35869e64b003ULL);
+  EXPECT_EQ(st.word_hits, 6211u);
+  EXPECT_EQ(st.ungapped_extensions, 131u);
+  EXPECT_EQ(st.gapped_extensions, 98u);
+  EXPECT_EQ(st.hsps_reported, 84u);
 }
 
 TEST(Search, QueryShorterThanWordFindsNothing) {

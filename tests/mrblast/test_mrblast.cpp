@@ -12,6 +12,7 @@
 #include <set>
 #include <sstream>
 
+#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 #include <unistd.h>
 
@@ -101,7 +102,7 @@ struct RunOutput {
 
 RunOutput run_real(const Testbed& tb, int nprocs, const std::string& tag,
                    mrmpi::MapStyle style = mrmpi::MapStyle::MasterWorker,
-                   std::size_t blocks_per_iteration = 0) {
+                   std::size_t blocks_per_iteration = 0, obs::Registry* metrics = nullptr) {
   RealRunConfig config;
   config.query_blocks = tb.query_blocks;
   config.partition_paths = tb.db.volume_paths;
@@ -112,6 +113,7 @@ RunOutput run_real(const Testbed& tb, int nprocs, const std::string& tag,
 
   sim::EngineConfig ec;
   ec.nprocs = nprocs;
+  ec.metrics = metrics;
   sim::Engine engine(ec);
   std::vector<std::string> files(static_cast<std::size_t>(nprocs));
   std::uint64_t total = 0;
@@ -221,6 +223,44 @@ TEST(MrBlastReal, DeterministicAcrossRuns) {
   const RunOutput b = run_real(tb, 4, "det_b");
   EXPECT_EQ(a.hits, b.hits);
   EXPECT_DOUBLE_EQ(a.elapsed, b.elapsed);
+}
+
+TEST(MrBlastReal, SearchStatsReachMetricsRegistry) {
+  // The engine's pipeline counters leave last_stats() through the
+  // registry: summed over the run, they equal a serial search of every
+  // (block, partition) pair under the same whole-database statistics.
+  const Testbed tb = make_testbed();
+  blast::SearchOptions options = test_options();
+  std::vector<std::shared_ptr<const blast::DbVolume>> volumes;
+  for (const auto& path : tb.db.volume_paths) {
+    volumes.push_back(std::make_shared<blast::DbVolume>(blast::DbVolume::load(path)));
+    options.effective_db_length += volumes.back()->residues();
+    options.effective_db_seqs += volumes.back()->num_seqs();
+  }
+  blast::SearchStats want;
+  for (const auto& block : tb.query_blocks) {
+    for (const auto& volume : volumes) {
+      const blast::BlastSearcher searcher(volume, options);
+      searcher.search(block);
+      const blast::SearchStats& st = searcher.last_stats();
+      want.word_hits += st.word_hits;
+      want.ungapped_extensions += st.ungapped_extensions;
+      want.gapped_extensions += st.gapped_extensions;
+      want.hsps_reported += st.hsps_reported;
+    }
+  }
+  ASSERT_GT(want.hsps_reported, 0u);
+
+  obs::Registry registry;
+  run_real(tb, 4, "stats", mrmpi::MapStyle::MasterWorker, 0, &registry);
+  const auto counter = [&](std::string_view name) -> std::uint64_t {
+    const obs::Counter* c = registry.find_counter(name);
+    return c != nullptr ? c->value() : 0;
+  };
+  EXPECT_EQ(counter("blast.word_hits"), want.word_hits);
+  EXPECT_EQ(counter("blast.ungapped_extensions"), want.ungapped_extensions);
+  EXPECT_EQ(counter("blast.gapped_extensions"), want.gapped_extensions);
+  EXPECT_EQ(counter("blast.hsps_reported"), want.hsps_reported);
 }
 
 // ---- simulated driver ----
