@@ -98,6 +98,23 @@ void BM_GappedExtension(benchmark::State& state) {
 }
 BENCHMARK(BM_GappedExtension);
 
+void BM_GappedExtensionFarSeed(benchmark::State& state) {
+  // The homolog sits at the end of a 20 kbp subject (seeds 150 and
+  // 19,150), so any per-call cost that grows with the subject prefix left
+  // of the seed shows here and not in BM_GappedExtension.
+  Rng rng(6);
+  const auto parent = blast::random_sequence(rng, "p", 1'000, blast::SeqType::Dna);
+  const auto homolog = blast::mutate(rng, parent, "h", 0.05, blast::SeqType::Dna);
+  auto subject = blast::random_sequence(rng, "s", 19'000, blast::SeqType::Dna).data;
+  subject.insert(subject.end(), homolog.data.begin(), homolog.data.end());
+  const blast::Scorer scorer = blast::Scorer::dna();
+  for (auto _ : state) {
+    const auto aln = blast::extend_gapped(parent.data, subject, 150, 19'150, scorer, 30);
+    benchmark::DoNotOptimize(aln.score);
+  }
+}
+BENCHMARK(BM_GappedExtensionFarSeed);
+
 void BM_DustFilter(benchmark::State& state) {
   const auto seq = random_dna(static_cast<std::size_t>(state.range(0)), 7);
   for (auto _ : state) {

@@ -81,16 +81,38 @@ constexpr std::uint8_t kHMask = 3;
 constexpr std::uint8_t kEExtend = 1 << 2;  ///< E came from E (else from H)
 constexpr std::uint8_t kFExtend = 1 << 3;  ///< F came from F (else from H)
 
-struct TbRow {
-  std::size_t lo = 0;
-  std::vector<std::uint8_t> tb;
+/// Where one DP row's traceback flags sit in the workspace arena.
+struct RowSpan {
+  std::size_t lo;   ///< first column of the row
+  std::size_t off;  ///< arena offset of that column's flags
 };
+
+/// Scratch memory of extend_gapped. One instance per thread is reused by
+/// every call, so the DP allocates nothing once the buffers have grown to
+/// the largest extension the thread has seen.
+struct Workspace {
+  // H and F rows; the previous row's alive window starts at an offset
+  // into one pair while the current row is written into the other.
+  std::vector<int> h[2];
+  std::vector<int> f[2];
+  std::vector<std::uint8_t> tb;  ///< every row's traceback flags, back to back
+  std::vector<RowSpan> rows;
+  std::vector<EditOp> right_ops;  ///< traceback runs, last column first
+  std::vector<EditOp> left_ops;
+  std::vector<std::uint8_t> qrev;  ///< reversed prefixes for the leftward pass
+  std::vector<std::uint8_t> srev;
+};
+
+/// Grows a scratch buffer to at least n elements, keeping its contents.
+template <typename T>
+void fit(std::vector<T>& v, std::size_t n) {
+  if (v.size() < n) v.resize(std::max(n, 2 * v.size()));
+}
 
 struct DirResult {
   int score = 0;
   std::size_t a_len = 0;  ///< residues of `a` consumed by the best alignment
   std::size_t b_len = 0;
-  std::vector<EditOp> ops;  ///< in forward order of (a, b) as passed in
 };
 
 void push_op(std::vector<EditOp>& ops, EditOp::Type t) {
@@ -101,89 +123,92 @@ void push_op(std::vector<EditOp>& ops, EditOp::Type t) {
   }
 }
 
+/// Columns of row 0, the run of gaps in `a` from the anchor: the anchor
+/// plus every gap length whose cost stays within `xdrop` (the best score
+/// is still 0 there), for a `b` of length n.
+std::size_t row0_width(const Scorer& scorer, int xdrop, std::size_t n) {
+  const int open_first = scorer.gap_open() + scorer.gap_extend();
+  const int ext = scorer.gap_extend();
+  if (xdrop < 0) return 0;
+  if (xdrop < open_first) return 1;
+  const std::size_t gaps =
+      ext > 0 ? 1 + static_cast<std::size_t>((xdrop - open_first) / ext) : n;
+  return 1 + std::min(gaps, n);
+}
+
 /// One-directional gapped X-drop DP of `a` against `b` anchored at their
-/// starts; returns the best-scoring extension with traceback.
+/// starts. Returns the best-scoring extension and appends its edit runs
+/// to `rev` in traceback order (last column first).
 DirResult extend_dir(std::span<const std::uint8_t> a, std::span<const std::uint8_t> b,
-                     const Scorer& scorer, int xdrop) {
+                     const Scorer& scorer, int xdrop, Workspace& ws,
+                     std::vector<EditOp>& rev) {
   const int open_first = scorer.gap_open() + scorer.gap_extend();  ///< cost of gap length 1
   const int ext = scorer.gap_extend();
   const simd::Kernels& kern = simd::kernels();
 
-  // Per-row F/D candidates, precomputed by the dispatched kernel. The
-  // sequential E-chain, pruning and traceback below stay scalar and are
-  // shared by every ISA level, which is what keeps gapped alignments
-  // bit-identical across --simd settings.
-  std::vector<int> d_buf;
-  std::vector<int> f_buf;
-  std::vector<std::uint8_t> fflag_buf;
-
-  std::vector<TbRow> rows;
   int best = 0;
   std::size_t best_i = 0;
   std::size_t best_j = 0;
 
-  // Row 0: gaps in `a` only.
-  std::vector<int> h_prev;
-  std::vector<int> e_prev_unused;  // E is an intra-row state; F crosses rows
-  std::vector<int> f_prev;
-  std::size_t lo_prev = 0;
-  {
-    TbRow row0;
-    row0.lo = 0;
-    int h = 0;
-    for (std::size_t j = 0;; ++j) {
-      if (j > 0) h = -(open_first + static_cast<int>(j - 1) * ext);
-      if (j > b.size() || h < best - xdrop) break;
-      h_prev.push_back(h);
-      f_prev.push_back(kNegInf);
-      std::uint8_t tb = (j == 0) ? kHStart : kHFromE;
-      if (j > 1) tb |= kEExtend;
-      row0.tb.push_back(tb);
-    }
-    rows.push_back(std::move(row0));
-    lo_prev = 0;
+  // Row 0: gaps in `a` only, written into buffer pair 0.
+  const std::size_t width0 = row0_width(scorer, xdrop, b.size());
+  fit(ws.h[0], width0);
+  fit(ws.f[0], width0);
+  fit(ws.tb, width0);
+  for (std::size_t j = 0; j < width0; ++j) {
+    ws.h[0][j] = j == 0 ? 0 : -(open_first + static_cast<int>(j - 1) * ext);
+    ws.f[0][j] = kNegInf;
+    std::uint8_t tb = (j == 0) ? kHStart : kHFromE;
+    if (j > 1) tb |= kEExtend;
+    ws.tb[j] = tb;
   }
+  ws.rows.assign(1, RowSpan{0, 0});
+  std::size_t used = width0;  // arena bytes holding finished rows
+  int prev = 0;               // buffer pair holding the previous row
+  std::size_t prev_off = 0;   // its alive window [prev_off, prev_off + prev_n)
+  std::size_t prev_n = width0;
+  std::size_t lo_prev = 0;    // column of the window's first entry
 
   for (std::size_t i = 1; i <= a.size(); ++i) {
-    if (h_prev.empty()) break;
+    if (prev_n == 0) break;
     const std::size_t lo = lo_prev;                          // F/diag reach
-    const std::size_t hi_prev = lo_prev + h_prev.size() - 1;  // last stored j of prev row
-    const std::size_t hi = std::min(hi_prev + 1, b.size());
+    const std::size_t hi = std::min(lo_prev + prev_n, b.size());  // one past prev's last
     if (lo > hi) break;
-
-    TbRow row;
-    row.lo = lo;
-    std::vector<int> h_cur;
-    std::vector<int> f_cur;
     const std::size_t m = hi - lo + 1;
-    h_cur.reserve(m);
-    f_cur.reserve(m);
 
-    // Vertical (gap in b) and diagonal candidates for the whole row: both
-    // read only the previous row, so they vectorize. lo == lo_prev, so
-    // window offsets t = j - lo line up with the previous row directly.
-    d_buf.resize(m);
-    f_buf.resize(m);
-    fflag_buf.resize(m);
+    // The kernel writes the row's diagonal candidates into H, its vertical
+    // (gap in b) candidates into F and their extend flags into the arena;
+    // the scalar pass below then overwrites each cell with its final
+    // value. lo == lo_prev, so window offsets t = j - lo line up with the
+    // previous row's window directly.
+    const int cur = prev ^ 1;
+    fit(ws.h[cur], m);
+    fit(ws.f[cur], m);
+    fit(ws.tb, used + m);
+    int* const hc = ws.h[cur].data();
+    int* const fc = ws.f[cur].data();
+    std::uint8_t* const tbc = ws.tb.data() + used;
     const int* score_row = scorer.table() + static_cast<std::size_t>(a[i - 1]) * kScoreDim;
-    kern.gapped_row_prep(h_prev.data(), f_prev.data(), h_prev.size(), b.data() + lo,
-                         score_row, open_first, ext, m, d_buf.data(), f_buf.data(),
-                         fflag_buf.data());
+    kern.gapped_row_prep(ws.h[prev].data() + prev_off, ws.f[prev].data() + prev_off, prev_n,
+                         b.data() + lo, score_row, open_first, ext, m, hc, fc, tbc);
 
+    // The sequential E-chain, pruning and traceback flags stay scalar and
+    // are shared by every ISA level, which is what keeps gapped alignments
+    // bit-identical across --simd settings.
     int e_run = kNegInf;  // E state carried left-to-right within the row
     bool any_alive = false;
     std::size_t first_alive = 0;
     std::size_t last_alive = 0;
 
-    for (std::size_t j = lo; j <= hi; ++j) {
-      const std::size_t t = j - lo;
-      int f = f_buf[t];
-      std::uint8_t tb = fflag_buf[t] ? kFExtend : std::uint8_t{0};
+    for (std::size_t t = 0; t < m; ++t) {
+      const std::size_t j = lo + t;
+      int f = fc[t];
+      std::uint8_t tb = tbc[t] ? kFExtend : std::uint8_t{0};
 
       // Horizontal (gap in a): from current row, previous j.
       int e = kNegInf;
-      if (j > lo) {
-        const int prev_h = h_cur.back();
+      if (t > 0) {
+        const int prev_h = hc[t - 1];
         const int from_h = prev_h > kNegInf ? prev_h - open_first : kNegInf;
         const int from_e = e_run > kNegInf ? e_run - ext : kNegInf;
         if (from_e > from_h) {
@@ -195,7 +220,7 @@ DirResult extend_dir(std::span<const std::uint8_t> a, std::span<const std::uint8
       }
       e_run = e;
 
-      const int d = d_buf[t];
+      const int d = hc[t];
 
       int h = std::max({d, e, f});
       if (h == d && d > kNegInf) {
@@ -216,9 +241,9 @@ DirResult extend_dir(std::span<const std::uint8_t> a, std::span<const std::uint8
       if (f < best - xdrop) f = kNegInf;
       if (e < best - xdrop) e_run = kNegInf;
 
-      h_cur.push_back(h);
-      f_cur.push_back(f);
-      row.tb.push_back(tb);
+      hc[t] = h;
+      fc[t] = f;
+      tbc[t] = tb;
 
       if (h > kNegInf || f > kNegInf || e_run > kNegInf) {
         if (!any_alive) first_alive = j;
@@ -234,34 +259,26 @@ DirResult extend_dir(std::span<const std::uint8_t> a, std::span<const std::uint8
 
     if (!any_alive) break;
 
-    // Trim the next row's window to the alive region.
-    const std::size_t trim = first_alive - lo;
-    if (trim > 0) {
-      h_cur.erase(h_cur.begin(), h_cur.begin() + static_cast<std::ptrdiff_t>(trim));
-      f_cur.erase(f_cur.begin(), f_cur.begin() + static_cast<std::ptrdiff_t>(trim));
-    }
-    h_cur.resize(last_alive - first_alive + 1, kNegInf);
-    f_cur.resize(last_alive - first_alive + 1, kNegInf);
-    h_prev = std::move(h_cur);
-    f_prev = std::move(f_cur);
+    // The next row reads only this row's alive window.
+    ws.rows.push_back(RowSpan{lo, used});
+    used += m;
+    prev = cur;
+    prev_off = first_alive - lo;
+    prev_n = last_alive - first_alive + 1;
     lo_prev = first_alive;
-    rows.push_back(std::move(row));
   }
 
   // Traceback from the best H cell.
-  DirResult out;
-  out.score = best;
-  out.a_len = best_i;
-  out.b_len = best_j;
-  std::vector<EditOp> rev;
   std::size_t i = best_i;
   std::size_t j = best_j;
   char state = 'H';
   while (i != 0 || j != 0) {
-    MRBIO_CHECK(i < rows.size(), "traceback row out of range");
-    const TbRow& row = rows[i];
-    MRBIO_CHECK(j >= row.lo && j - row.lo < row.tb.size(), "traceback column out of range");
-    const std::uint8_t tb = row.tb[j - row.lo];
+    MRBIO_CHECK(i < ws.rows.size(), "traceback row out of range");
+    const RowSpan& row = ws.rows[i];
+    const std::size_t row_end = i + 1 < ws.rows.size() ? ws.rows[i + 1].off : used;
+    MRBIO_CHECK(j >= row.lo && j - row.lo < row_end - row.off,
+                "traceback column out of range");
+    const std::uint8_t tb = ws.tb[row.off + (j - row.lo)];
     if (state == 'H') {
       switch (tb & kHMask) {
         case kHDiag:
@@ -288,8 +305,7 @@ DirResult extend_dir(std::span<const std::uint8_t> a, std::span<const std::uint8
       --i;
     }
   }
-  out.ops.assign(rev.rbegin(), rev.rend());
-  return out;
+  return DirResult{best, best_i, best_j};
 }
 
 }  // namespace
@@ -298,19 +314,29 @@ GappedAlignment extend_gapped(std::span<const std::uint8_t> query,
                               std::span<const std::uint8_t> subject, std::size_t q_seed,
                               std::size_t s_seed, const Scorer& scorer, int xdrop) {
   MRBIO_CHECK(q_seed < query.size() && s_seed < subject.size(), "gapped seed out of range");
+  // Safe to share per thread: the call neither yields nor recurses.
+  thread_local Workspace ws;
 
   // Rightward pass includes the seed column.
-  const DirResult right = extend_dir(query.subspan(q_seed), subject.subspan(s_seed),
-                                     scorer, xdrop);
+  ws.right_ops.clear();
+  const DirResult right = extend_dir(query.subspan(q_seed), subject.subspan(s_seed), scorer,
+                                     xdrop, ws, ws.right_ops);
 
-  // Leftward pass on reversed prefixes (excluding the seed column).
-  std::vector<std::uint8_t> qrev(query.begin(),
-                                 query.begin() + static_cast<std::ptrdiff_t>(q_seed));
-  std::vector<std::uint8_t> srev(subject.begin(),
-                                 subject.begin() + static_cast<std::ptrdiff_t>(s_seed));
-  std::reverse(qrev.begin(), qrev.end());
-  std::reverse(srev.begin(), srev.end());
-  const DirResult left = extend_dir(qrev, srev, scorer, xdrop);
+  // Leftward pass on reversed prefixes (excluding the seed column), over
+  // only the subject bytes it can reach. Window invariant: row 0 ends at
+  // column R = row0_width - 1, and each later row ends at most one column
+  // past the previous row's last alive column, so row i ends at or before
+  // column R + i. The q_seed rows of this pass thus read subject bytes
+  // below q_seed + R only (column j reads byte j - 1), and with
+  // q_seed + R + 1 bytes the subject's end clips no row's window: the
+  // alignment is the one the whole reversed prefix would give.
+  const std::size_t window = std::min(s_seed, q_seed + row0_width(scorer, xdrop, s_seed));
+  const auto s_left = subject.rbegin() + static_cast<std::ptrdiff_t>(subject.size() - s_seed);
+  ws.qrev.assign(query.rbegin() + static_cast<std::ptrdiff_t>(query.size() - q_seed),
+                 query.rend());
+  ws.srev.assign(s_left, s_left + static_cast<std::ptrdiff_t>(window));
+  ws.left_ops.clear();
+  const DirResult left = extend_dir(ws.qrev, ws.srev, scorer, xdrop, ws, ws.left_ops);
 
   GappedAlignment out;
   out.score = left.score + right.score;
@@ -319,13 +345,15 @@ GappedAlignment extend_gapped(std::span<const std::uint8_t> query,
   out.q_end = q_seed + right.a_len;
   out.s_end = s_seed + right.b_len;
 
-  // Left ops are in reversed coordinates; flip them back and splice.
-  out.ops.assign(left.ops.rbegin(), left.ops.rend());
-  for (const EditOp& op : right.ops) {
-    if (!out.ops.empty() && out.ops.back().type == op.type) {
-      out.ops.back().len += op.len;
+  // The left runs, read last-column-first in reversed coordinates, are
+  // already in forward order; the right runs are flipped and spliced on.
+  out.ops.reserve(ws.left_ops.size() + ws.right_ops.size());
+  out.ops.assign(ws.left_ops.begin(), ws.left_ops.end());
+  for (auto op = ws.right_ops.rbegin(); op != ws.right_ops.rend(); ++op) {
+    if (!out.ops.empty() && out.ops.back().type == op->type) {
+      out.ops.back().len += op->len;
     } else {
-      out.ops.push_back(op);
+      out.ops.push_back(*op);
     }
   }
 

@@ -11,6 +11,16 @@
 // maintain an active column window that the X-drop criterion shrinks and
 // grows, so cost is proportional to the explored band, not to the full
 // DP matrix.
+//
+// The DP allocates nothing in steady state: a per-thread workspace keeps
+// two H/F row pairs that swap after each row (the previous row's alive
+// window is an offset into one pair), one arena with every row's
+// traceback flags back to back plus each row's first column and offset,
+// and the reversed prefixes of the leftward pass. Each row ends at most
+// one column past the previous row's last alive column, so the leftward
+// pass reads fewer than q_seed + R subject bytes left of the seed, R
+// being row 0's reach (12 at the blastn defaults); it reverses only
+// min(s_seed, q_seed + R + 1) of them.
 #pragma once
 
 #include <cstdint>

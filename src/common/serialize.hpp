@@ -124,6 +124,7 @@ class ByteReader {
 
   void take(void* out, std::size_t n) {
     check_avail(n);
+    if (n == 0) return;  // an empty vector's data() may be null: memcpy(null, _, 0) is UB
     std::memcpy(out, data_.data() + pos_, n);
     pos_ += n;
   }

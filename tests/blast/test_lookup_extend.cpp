@@ -329,5 +329,168 @@ TEST(ExtendGapped, EditOpsSpanCoordinates) {
   EXPECT_EQ(s_span, aln.s_end - aln.s_start);
 }
 
+/// FNV-1a over everything extend_gapped returns, ops included.
+std::uint64_t alignment_digest(const GappedAlignment& aln,
+                               std::uint64_t h = 0xcbf29ce484222325ULL) {
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  mix(static_cast<std::uint32_t>(aln.score));
+  mix(aln.q_start);
+  mix(aln.q_end);
+  mix(aln.s_start);
+  mix(aln.s_end);
+  mix(aln.identities);
+  mix(aln.align_len);
+  mix(aln.gaps);
+  mix(aln.ops.size());
+  for (const EditOp& op : aln.ops) {
+    mix(static_cast<std::uint64_t>(op.type));
+    mix(op.len);
+  }
+  return h;
+}
+
+/// Random residues in [0, alphabet), with the ambiguity code `ambig` at a
+/// rate of one in a hundred.
+std::vector<std::uint8_t> random_residues(Rng& rng, std::size_t n, int alphabet,
+                                          std::uint8_t ambig) {
+  std::vector<std::uint8_t> out(n);
+  for (auto& c : out) {
+    c = rng.uniform() < 0.01 ? ambig : static_cast<std::uint8_t>(rng.below(alphabet));
+  }
+  return out;
+}
+
+/// Appends a diverged copy of `src` to `out`: substitutions at `sub_rate`,
+/// 1-3 residue insertions or deletions at `indel_rate`. map[k] is the
+/// offset in `out` of src[k]'s copy, or SIZE_MAX where it was deleted.
+void append_diverged(Rng& rng, const std::vector<std::uint8_t>& src, int alphabet,
+                     double sub_rate, double indel_rate, std::vector<std::uint8_t>& out,
+                     std::vector<std::size_t>& map) {
+  map.assign(src.size(), SIZE_MAX);
+  for (std::size_t k = 0; k < src.size(); ++k) {
+    if (rng.uniform() < indel_rate) {
+      const std::size_t len = 1 + rng.below(3);
+      if (rng.uniform() < 0.5) {
+        for (std::size_t n = 0; n < len; ++n) {
+          out.push_back(static_cast<std::uint8_t>(rng.below(alphabet)));
+        }
+      } else {
+        k += len - 1;
+        continue;
+      }
+    }
+    map[k] = out.size();
+    out.push_back(rng.uniform() < sub_rate ? static_cast<std::uint8_t>(rng.below(alphabet))
+                                           : src[k]);
+  }
+}
+
+TEST(ExtendGapped, GoldenInteriorSeeds) {
+  // GappedVsReferenceP extends only from (0, 0), so the leftward pass is
+  // otherwise checked against nothing but itself. This pins ~200 interior
+  // seeds per scorer (homolog pairs with indels, subject seeds up to
+  // ~5,000, edge seeds, long subject insertions) to constants recorded
+  // with the allocating implementation that reversed whole prefixes;
+  // update them only for an intended change of results.
+  struct Setup {
+    Scorer scorer;
+    int xdrop;
+    int alphabet;
+    std::uint8_t ambig;
+    std::uint64_t golden;
+  };
+  const Setup setups[] = {
+      {Scorer::dna(2, -3, 5, 2), 30, 4, kDnaAmbig, 0xd91ab27c2d0d474fULL},
+      {Scorer::blosum62(11, 1), 38, 20, kProtAmbig, 0x1344a662ecfae181ULL},
+  };
+  for (const Setup& su : setups) {
+    const Scorer& sc = su.scorer;
+    // Row 0's reach: the last column whose pure-gap score stays within
+    // the X-drop. The leftward pass needs only the q_seed + reach + 1
+    // subject bytes left of the seed.
+    const std::size_t reach =
+        1 + static_cast<std::size_t>((su.xdrop - sc.gap_open() - sc.gap_extend()) /
+                                     sc.gap_extend());
+    Rng rng(0x5eed0000u + static_cast<std::uint64_t>(su.alphabet));
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    std::size_t truncated = 0;
+    for (int c = 0; c < 200; ++c) {
+      const auto ancestor = random_residues(rng, 150 + rng.below(450), su.alphabet, su.ambig);
+      const double sub_rate = su.alphabet == 4 ? 0.08 : 0.3;
+      // Every tenth subject starts with the homolog so the seed lies
+      // inside the window; the others get up to 4,700 unrelated residues
+      // first so the window truncates the leftward pass.
+      std::vector<std::uint8_t> s =
+          random_residues(rng, c % 10 == 0 ? 0 : rng.below(4700), su.alphabet, su.ambig);
+      std::vector<std::uint8_t> q;
+      std::vector<std::size_t> q_map;
+      std::vector<std::size_t> s_map;
+      std::size_t q_seed = 0;
+      std::size_t s_seed = 0;
+      if (c % 10 == 5) {
+        // Long subject insertion: a shared prefix, then exactly row 0's
+        // reach of inserted subject residues, then the seed. The leftward
+        // band runs along the window's edge to the first query residue,
+        // where the best cell reads the last byte the window must hold.
+        q = random_residues(rng, 20 + rng.below(40), su.alphabet, su.ambig);
+        s.insert(s.end(), q.begin(), q.end());
+        const auto ins = random_residues(rng, reach, su.alphabet, su.ambig);
+        s.insert(s.end(), ins.begin(), ins.end());
+        q_seed = q.size();
+        s_seed = s.size();
+        append_diverged(rng, ancestor, su.alphabet, sub_rate, 0.02, q, q_map);
+        append_diverged(rng, ancestor, su.alphabet, sub_rate, 0.02, s, s_map);
+      } else {
+        // Seed on a conserved residue of the shared ancestor, q_seed <= 300.
+        q = random_residues(rng, rng.below(60), su.alphabet, su.ambig);
+        append_diverged(rng, ancestor, su.alphabet, sub_rate, 0.02, q, q_map);
+        append_diverged(rng, ancestor, su.alphabet, sub_rate, 0.02, s, s_map);
+        for (int tries = 0; tries < 1000; ++tries) {
+          const std::size_t k = rng.below(ancestor.size());
+          if (q_map[k] == SIZE_MAX || s_map[k] == SIZE_MAX || q_map[k] > 300) continue;
+          q_seed = q_map[k];
+          s_seed = s_map[k];
+          if (q[q_seed] == s[s_seed] && q[q_seed] != su.ambig) break;
+        }
+      }
+      const auto tail = random_residues(rng, rng.below(300), su.alphabet, su.ambig);
+      s.insert(s.end(), tail.begin(), tail.end());
+      switch (c) {  // seeds at either end of either sequence
+        case 1: q_seed = 0; break;
+        case 2: s_seed = 0; break;
+        case 3: q_seed = q.size() - 1; break;
+        case 4: s_seed = s.size() - 1; break;
+        default: break;
+      }
+      s[s_seed] = q[q_seed];
+
+      const GappedAlignment aln = extend_gapped(q, s, q_seed, s_seed, sc, su.xdrop);
+      h = alignment_digest(aln, h);
+
+      // Bytes left of the window must not matter: overwrite them with the
+      // reversed query, so that the leftward pass would find a perfect
+      // diagonal just past the window if it could reach it.
+      const std::size_t window = std::min(s_seed, q_seed + reach + 1);
+      if (window < s_seed) {
+        ++truncated;
+        std::vector<std::uint8_t> s2 = s;
+        for (std::size_t k = 0; k < s_seed - window; ++k) {
+          s2[s_seed - window - 1 - k] = q[(q_seed + q.size() - 1 - k % q.size()) % q.size()];
+        }
+        EXPECT_EQ(alignment_digest(extend_gapped(q, s2, q_seed, s_seed, sc, su.xdrop)),
+                  alignment_digest(aln))
+            << "case " << c << " q_seed " << q_seed << " s_seed " << s_seed;
+      }
+    }
+    EXPECT_GT(truncated, 150u);
+    EXPECT_EQ(h, su.golden) << std::hex << h;
+  }
+}
+
 }  // namespace
 }  // namespace mrbio::blast

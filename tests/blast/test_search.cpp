@@ -348,10 +348,11 @@ TEST(Search, EmptyQueryBlockOk) {
   EXPECT_TRUE(searcher.search({}).empty());
 }
 
-/// FNV-1a over the integer fields of every HSP, in result order. Float
-/// fields (bit score, E-value) stay out so a different libm cannot move
-/// the digest; the order itself depends only on raw scores and ids.
-std::uint64_t hsp_digest(const std::vector<QueryResult>& results) {
+/// FNV-1a over the integer fields of every HSP, in result order, and
+/// optionally over every edit op. Float fields (bit score, E-value) stay
+/// out so a different libm cannot move the digest; the order itself
+/// depends only on raw scores and ids.
+std::uint64_t hsp_digest(const std::vector<QueryResult>& results, bool with_ops = false) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   const auto mix = [&h](std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -372,6 +373,12 @@ std::uint64_t hsp_digest(const std::vector<QueryResult>& results) {
       mix(hsp.identities);
       mix(hsp.align_len);
       mix(hsp.gaps);
+      if (!with_ops) continue;
+      mix(hsp.ops.size());
+      for (const EditOp& op : hsp.ops) {
+        mix(static_cast<std::uint64_t>(op.type));
+        mix(op.len);
+      }
     }
   }
   return h;
@@ -438,6 +445,63 @@ TEST(Search, GoldenDnaBlockOutput) {
   EXPECT_EQ(st.ungapped_extensions, 131u);
   EXPECT_EQ(st.gapped_extensions, 98u);
   EXPECT_EQ(st.hsps_reported, 84u);
+}
+
+TEST(Search, GoldenProteinBlockOutput) {
+  // The protein counterpart of GoldenDnaBlockOutput: BLOSUM62 with
+  // neighbourhood words, two-hit seeding and SEG, on diverged fragments
+  // with indels, pinned edit ops included.
+  Rng rng(20110517);
+  std::vector<Sequence> proteins;
+  for (int p = 0; p < 6; ++p) {
+    proteins.push_back(
+        random_sequence(rng, "p" + std::to_string(p), 400, SeqType::Protein));
+  }
+  const auto vol = make_volume(proteins, SeqType::Protein);
+
+  // Queries: fragments of diverged copies with scattered X residues and
+  // short indels, plus one low-complexity run for SEG to mask.
+  std::vector<Sequence> copies;
+  for (const Sequence& p : proteins) {
+    copies.push_back(mutate(rng, p, p.id, 0.3, SeqType::Protein));
+  }
+  std::vector<Sequence> queries = shred(copies, 150, 50, 40);
+  for (Sequence& q : queries) {
+    for (auto& c : q.data) {
+      if (rng.uniform() < 0.01) c = kProtAmbig;
+    }
+    for (int k = 0; k < 2; ++k) {
+      const auto at = static_cast<std::ptrdiff_t>(rng.below(q.data.size()));
+      if (rng.uniform() < 0.5) {
+        q.data.insert(q.data.begin() + at, 1 + rng.below(4),
+                      static_cast<std::uint8_t>(rng.below(kProtAlphabet)));
+      } else {
+        q.data.erase(q.data.begin() + at,
+                     q.data.begin() + std::min<std::ptrdiff_t>(
+                                          at + 3, static_cast<std::ptrdiff_t>(q.data.size())));
+      }
+    }
+  }
+  const auto sq = encode_protein("SQ");
+  for (std::size_t k = 0; k < 30; ++k) queries[3].data[20 + k] = sq[k % 2];
+
+  SearchOptions opts = make_protein_options();
+  ASSERT_TRUE(opts.two_hit);
+  ASSERT_TRUE(opts.filter_low_complexity);
+  BlastSearcher searcher(vol, opts);
+  const auto results = searcher.search(queries);
+  const SearchStats& st = searcher.last_stats();
+  std::size_t gapped = 0;
+  for (const QueryResult& qr : results) {
+    for (const Hsp& hsp : qr.hsps) gapped += hsp.gaps > 0 ? 1 : 0;
+  }
+  ASSERT_GT(gapped, 0u);
+
+  EXPECT_EQ(hsp_digest(results, /*with_ops=*/true), 0xe622b5aed29ae7c8ULL);
+  EXPECT_EQ(st.word_hits, 33507u);
+  EXPECT_EQ(st.ungapped_extensions, 2365u);
+  EXPECT_EQ(st.gapped_extensions, 58u);
+  EXPECT_EQ(st.hsps_reported, 26u);
 }
 
 TEST(Search, QueryShorterThanWordFindsNothing) {
