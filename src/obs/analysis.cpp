@@ -296,7 +296,7 @@ CriticalPath walk_critical_path(const Recorder& rec, double makespan,
 // attribution (via restrict_to).
 struct RankIntervals {
   std::vector<Interval> busy, retry, app, io_db, io_ckpt, io_shuffle, io_spill,
-      coll, fwait, swait, mwait, comm;
+      coll, fwait, swait, twait, mwait, comm;
 };
 
 RankIntervals collect_intervals(const Recorder& rec, int rank) {
@@ -322,11 +322,17 @@ RankIntervals collect_intervals(const Recorder& rec, int rank) {
       case Category::Collective:
         v.coll.push_back(iv);
         break;
-      case Category::Fault:
-        // Steal-scheduler idle episodes (victim probe + backoff nap) share
-        // the Fault category lane but are load-imbalance, not recovery.
-        (std::string_view(e.name) == "steal_wait" ? v.swait : v.fwait).push_back(iv);
+      case Category::Fault: {
+        // Steal-scheduler idle episodes (victim probe + backoff nap) and
+        // the sharded ledger's endgame waits share the Fault category lane
+        // but are load imbalance and termination, not recovery.
+        const std::string_view name(e.name);
+        (name == "steal_wait"         ? v.swait
+         : name == "termination_wait" ? v.twait
+                                      : v.fwait)
+            .push_back(iv);
         break;
+      }
       case Category::RecvWait:
         // A worker blocked on the master (rank 0) is master-wait; any
         // other receive is generic communication.
@@ -356,6 +362,7 @@ RankIntervals collect_intervals(const Recorder& rec, int rank) {
   merge_intervals(v.coll);
   merge_intervals(v.fwait);
   merge_intervals(v.swait);
+  merge_intervals(v.twait);
   merge_intervals(v.mwait);
   merge_intervals(v.comm);
   return v;
@@ -373,6 +380,7 @@ RankIntervals restrict_to(const RankIntervals& v, const std::vector<Interval>& w
   r.coll = intersect(v.coll, window);
   r.fwait = intersect(v.fwait, window);
   r.swait = intersect(v.swait, window);
+  r.twait = intersect(v.twait, window);
   r.mwait = intersect(v.mwait, window);
   r.comm = intersect(v.comm, window);
   return r;
@@ -411,11 +419,14 @@ RankBreakdown breakdown_from(const RankIntervals& v, int rank, double total_time
   covered = merged_union(std::move(covered), v.fwait);
   b.steal_wait = measure_minus(v.swait, covered);
   covered = merged_union(std::move(covered), v.swait);
+  b.termination_wait = measure_minus(v.twait, covered);
+  covered = merged_union(std::move(covered), v.twait);
   b.master_wait = measure_minus(v.mwait, covered);
   covered = merged_union(std::move(covered), v.mwait);
   b.comm_overhead = measure_minus(v.comm, covered);
   b.idle_other = clamp0(idle_total - b.collective_skew - b.recovery_wait -
-                        b.steal_wait - b.master_wait - b.comm_overhead);
+                        b.steal_wait - b.termination_wait - b.master_wait -
+                        b.comm_overhead);
   return b;
 }
 
@@ -432,6 +443,7 @@ std::pair<std::string, double> dominant_bucket(const RankBreakdown& b) {
       {"collective_skew", b.collective_skew},
       {"recovery_wait", b.recovery_wait},
       {"steal_wait", b.steal_wait},
+      {"termination_wait", b.termination_wait},
       {"recv_wait", b.master_wait + b.comm_overhead},
       {"idle", b.idle_other},
   };
@@ -549,6 +561,7 @@ Report analyze(const Recorder& rec, const AnalyzeOptions& opts) {
     rep.total.collective_skew += b.collective_skew;
     rep.total.recovery_wait += b.recovery_wait;
     rep.total.steal_wait += b.steal_wait;
+    rep.total.termination_wait += b.termination_wait;
     rep.total.master_wait += b.master_wait;
     rep.total.comm_overhead += b.comm_overhead;
     rep.total.idle_other += b.idle_other;
@@ -607,6 +620,7 @@ constexpr CatRow kIdleRows[] = {
     {"collective_skew", &RankBreakdown::collective_skew},
     {"recovery_wait", &RankBreakdown::recovery_wait},
     {"steal_wait", &RankBreakdown::steal_wait},
+    {"termination_wait", &RankBreakdown::termination_wait},
     {"master_wait", &RankBreakdown::master_wait},
     {"comm_overhead", &RankBreakdown::comm_overhead},
     {"idle_other", &RankBreakdown::idle_other},
@@ -646,18 +660,18 @@ void print_report(std::FILE* out, const Report& report, std::size_t max_rank_row
   const std::size_t nrows =
       std::min(max_rank_rows, report.ranks.size());
   std::fprintf(out, "\n-- per-rank breakdown (first %zu of %d) --\n", nrows, report.nranks);
-  std::fprintf(out, "%5s %11s %11s %9s %9s %9s %9s %9s %9s %9s %9s %9s %9s %9s %9s\n",
+  std::fprintf(out, "%5s %11s %11s %9s %9s %9s %9s %9s %9s %9s %9s %9s %9s %9s %9s %9s\n",
                "rank", "final", "useful", "retry", "db_io", "ckpt", "shuf", "spill",
-               "obusy", "cskew", "rwait", "swait", "mwait", "comm", "idle");
+               "obusy", "cskew", "rwait", "swait", "twait", "mwait", "comm", "idle");
   for (std::size_t i = 0; i < nrows; ++i) {
     const RankBreakdown& b = report.ranks[i];
     std::fprintf(out,
                  "%5d %11.4f %11.4f %9.4f %9.4f %9.4f %9.4f %9.4f %9.4f %9.4f %9.4f "
-                 "%9.4f %9.4f %9.4f %9.4f\n",
+                 "%9.4f %9.4f %9.4f %9.4f %9.4f\n",
                  b.rank, b.final_time, b.useful, b.retry_compute, b.db_io,
                  b.checkpoint_io, b.shuffle_io, b.spill_io, b.other_busy,
-                 b.collective_skew, b.recovery_wait, b.steal_wait, b.master_wait,
-                 b.comm_overhead, b.idle_other);
+                 b.collective_skew, b.recovery_wait, b.steal_wait, b.termination_wait,
+                 b.master_wait, b.comm_overhead, b.idle_other);
   }
 
   if (!report.phase_skew.empty()) {
@@ -695,12 +709,12 @@ void json_breakdown(std::FILE* out, const RankBreakdown& b) {
                "\"retry_compute\":%.17g,\"db_io\":%.17g,\"checkpoint_io\":%.17g,"
                "\"shuffle_io\":%.17g,\"spill_io\":%.17g,\"other_busy\":%.17g,"
                "\"collective_skew\":%.17g,\"recovery_wait\":%.17g,"
-               "\"steal_wait\":%.17g,\"master_wait\":%.17g,\"comm_overhead\":%.17g,"
-               "\"idle_other\":%.17g}",
+               "\"steal_wait\":%.17g,\"termination_wait\":%.17g,\"master_wait\":%.17g,"
+               "\"comm_overhead\":%.17g,\"idle_other\":%.17g}",
                b.rank, b.final_time, b.useful, b.retry_compute, b.db_io, b.checkpoint_io,
                b.shuffle_io, b.spill_io, b.other_busy, b.collective_skew,
-               b.recovery_wait, b.steal_wait, b.master_wait, b.comm_overhead,
-               b.idle_other);
+               b.recovery_wait, b.steal_wait, b.termination_wait, b.master_wait,
+               b.comm_overhead, b.idle_other);
 }
 
 void json_string(std::FILE* out, const std::string& s) {

@@ -75,6 +75,9 @@ struct RankBreakdown {
   double collective_skew = 0.0;  ///< blocked inside a collective
   double recovery_wait = 0.0;    ///< fault recovery: reassignment + retry naps
   double steal_wait = 0.0;       ///< work stealing: victim probes + idle naps
+  /// Sharded-ledger endgame: parked after RetryLater, the exit handshake
+  /// and the shard owner's tail (Fault "termination_wait" spans).
+  double termination_wait = 0.0;
   double master_wait = 0.0;      ///< worker waiting for the master's next task
   double comm_overhead = 0.0;    ///< other send/recv wait time
   double idle_other = 0.0;       ///< residual (startup/teardown imbalance)
@@ -84,8 +87,8 @@ struct RankBreakdown {
            other_busy;
   }
   double idle_total() const {
-    return collective_skew + recovery_wait + steal_wait + master_wait + comm_overhead +
-           idle_other;
+    return collective_skew + recovery_wait + steal_wait + termination_wait + master_wait +
+           comm_overhead + idle_other;
   }
 };
 
@@ -95,8 +98,8 @@ struct Straggler {
   double ratio = 0.0;  ///< busy_seconds / median busy across ranks
   /// Dominant attribution bucket over the rank's whole timeline:
   /// "compute" (useful + retry + framework busy), one of the Io categories,
-  /// "collective_skew", "recovery_wait", "steal_wait", "recv_wait" (master-wait +
-  /// communication), or "idle".
+  /// "collective_skew", "recovery_wait", "steal_wait", "termination_wait",
+  /// "recv_wait" (master-wait + communication), or "idle".
   std::string dominant;
   double dominant_seconds = 0.0;
 };

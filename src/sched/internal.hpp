@@ -206,7 +206,8 @@ inline StealToken unpack_token(const rt::Message& m) {
 // peer acked; a dying shard owner additionally hands its in-memory
 // ledger image to the deterministic successor. Workers announce the end
 // of their map participation with an Exit so shard owners can account
-// quiescence without a global collective.
+// quiescence without a global collective; an asker told RetryLater parks
+// until the owner's Wake instead of polling.
 
 struct Obit {
   std::uint32_t epoch = 0;
@@ -319,6 +320,21 @@ inline WireExit unpack_exit(const rt::Message& m) {
   e.incarnation = r.get<std::uint32_t>();
   e.ack = r.get<std::uint8_t>();
   return e;
+}
+
+/// Wake (kTagWake): an owner that answered RetryLater tells the parked
+/// asker its shards settled or regained grantable work. The payload is
+/// only the map epoch — the asker re-asks through the seq/replay exchange,
+/// so a lost, late or duplicated wake costs a round trip, never a decision.
+inline std::vector<std::byte> pack_wake(std::uint32_t epoch) {
+  ByteWriter w;
+  w.put(epoch);
+  return w.take();
+}
+
+inline std::uint32_t unpack_wake(const rt::Message& m) {
+  ByteReader r(m.payload);
+  return r.get<std::uint32_t>();
 }
 
 // ---------------------------------------------------------------------------

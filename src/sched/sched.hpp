@@ -12,7 +12,8 @@
 // *which rank runs which task when*; the executor decides what running,
 // staging and committing a task means. The exactly-once guarantees of the
 // fault-tolerant paths are therefore scheduler-independent: steals are
-// claims, commits still go through the ledger on rank 0.
+// claims, and every commit goes through an exactly-once ledger — rank 0's
+// under master-ft, the owning shard's under steal (the sharded ledger).
 #pragma once
 
 #include <cstddef>
@@ -76,7 +77,11 @@ struct FtConfig {
   /// Extra attempts per task beyond the first; a task failing
   /// 1 + max_retries times is declared failed.
   int max_retries = 3;
-  /// Worker-side poll interval: retry-later naps and request resends.
+  /// Resend interval for lost protocol messages: an unanswered request or
+  /// steal is resent, and a parked asker whose owner's wake never came
+  /// re-asks, after a jittered worker_poll. The sharded ledger's fault-free
+  /// waits end on their events instead; master-ft still naps this long
+  /// after a retry-later, and plain steal paces its termination token by it.
   double worker_poll = 0.05;
   /// Consecutive unanswered request resends before a worker gives up and
   /// fails the run (the master is gone for good).

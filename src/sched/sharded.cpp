@@ -43,9 +43,19 @@
 // acks. An owner acks exits only after its own worker role passed its
 // final fault poll — after acking, it can never die — which guarantees
 // that any rank a death could appoint as successor is still in the map.
+//
+// Endgame: its waits end on the event they wait for, not on a nap. An
+// owner that answers RetryLater to a remote asker parks it and sends one
+// epoch-stamped Wake once its shards settle or regain grantable work; the
+// woken asker re-asks through the ordinary seq/replay exchange, so the
+// wake carries no ledger state. A rank parked on its own shards waits on
+// their state, the exit handshake ends on the last ack, and the owner
+// tail ends when the last other rank exited. The jittered worker_poll
+// deadline is only the resend fallback for a lost message.
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <map>
 #include <set>
@@ -178,6 +188,8 @@ struct ShardedRun {
   std::set<int> my_obit_acked;  ///< successors that acked this rank's obit
   std::set<int> pending_exit_acks;  ///< exits to ack once worker_done
   std::vector<std::pair<int, std::int32_t>> pending_obit_acks;  ///< (src, dead)
+  std::set<int> parked;  ///< remote askers answered RetryLater, owed a wake
+  std::set<int> woken;   ///< owners whose wake arrived since this rank's last ask
 
   ShardedRun(MapContext& c, std::uint32_t ep)
       : ctx(c),
@@ -286,6 +298,15 @@ struct ShardedRun {
       if (sh.awaiting_image || !sh.settled()) return false;
     }
     return true;
+  }
+
+  /// An ask would now be answered with a task or Stop, not RetryLater.
+  bool answerable() const {
+    if (all_settled()) return true;
+    for (const auto& [sid, sh] : shards) {
+      if (!sh.awaiting_image && sh.nfree > 0) return true;
+    }
+    return false;
   }
 
   void unclaim_all() {
@@ -416,6 +437,11 @@ struct ShardedRun {
         grace = kInf;
       }
       evict_suspects();
+      if (!parked.empty() && answerable()) {
+        const std::vector<std::byte> wake = pack_wake(epoch);
+        for (const int r : parked) comm.send_bytes(r, kTagWake, wake);
+        parked.clear();
+      }
     }
     if (worker_done && !pending_exit_acks.empty()) {
       for (const int r : pending_exit_acks) send_exit_ack(r, 1);
@@ -637,6 +663,9 @@ struct ShardedRun {
       unclaim_all();
     }
     WireGrant g = decide(src, req.incarnation, req.completed_task, req.wants != 0);
+    if (req.wants != 0 && g.decided != 0 && g.assign == kAssignRetryLater) {
+      parked.insert(src);  // woken by upkeep() once answerable()
+    }
     g.seq = req.seq;
     w.last_seq = req.seq;
     w.cached_grant = pack_grant(g);
@@ -748,6 +777,13 @@ struct ShardedRun {
       case kTagExitAck:
         handle_exit(m);
         return;
+      case kTagWake:
+        if (unpack_wake(m) == epoch) {
+          woken.insert(m.source);
+        } else if (reg != nullptr) {
+          reg->counter("sched.stale_wakes").inc();  // from an earlier map
+        }
+        return;
       default:
         return;  // stale plain-steal traffic (token/stop) from an old map
     }
@@ -756,11 +792,15 @@ struct ShardedRun {
   /// The single wait point: serves every protocol duty while waiting.
   /// With want_tag >= 0, returns Ok and fills *out when a message with
   /// that tag (and source, if want_src >= 0) arrives; everything else is
-  /// dispatched. Returns Timeout at `deadline`.
+  /// dispatched. With `done`, returns Ok as soon as done() holds, checked
+  /// on entry and after every dispatched message. Returns Timeout at
+  /// `deadline`.
   rt::RecvStatus serve_until(double deadline, int want_src, int want_tag,
-                             rt::Message* out) {
+                             rt::Message* out,
+                             const std::function<bool()>& done = {}) {
     while (true) {
       upkeep();
+      if (done && done()) return rt::RecvStatus::Ok;
       rt::Message m;
       const rt::RecvStatus st =
           comm.recv_bytes_deadline(mpi::kAnySource, mpi::kAnyUserTag, deadline, &m);
@@ -827,6 +867,7 @@ struct ShardedRun {
       req.incarnation = ps.incarnation;
       req.epoch = epoch;
       req.seq = ++ps.owner_seq[o];
+      woken.erase(o);  // only a wake sent after this ask may end a park on o
       const std::vector<std::byte> wire = pack_req(req);
       comm.send_bytes(o, kTagDone, wire);
       int timeouts = 0;
@@ -859,6 +900,30 @@ struct ShardedRun {
                           nullptr);
       }
     }
+  }
+
+  void trace_termination_wait(double t0) {
+    if (rec != nullptr) {
+      rec->add(me, trace::Category::Fault, "termination_wait", t0, comm.now());
+    }
+  }
+
+  /// After a RetryLater from `owner`: serve duties until the answer can
+  /// change — the owner's wake arrived (for this rank's own shards: their
+  /// state turned answerable) or a late steal response refilled the
+  /// deque. The deadline is only the fallback for a lost wake.
+  void park(int owner) {
+    const double t0 = comm.now();
+    const rt::RecvStatus st =
+        serve_until(t0 + jittered(ft.worker_poll, rng), -1, -1, nullptr, [&] {
+          return !dq.empty() || (owner == me ? answerable() : woken.count(owner) != 0);
+        });
+    if (reg != nullptr) {
+      reg->counter("sched.parks").inc();
+      // A park that outlived its deadline falls back to the timed re-ask.
+      if (st != rt::RecvStatus::Ok) reg->counter("sched.park_timeouts").inc();
+    }
+    trace_termination_wait(t0);
   }
 
   void run_one(std::uint64_t t, std::uint32_t attempt) {
@@ -1147,10 +1212,8 @@ struct ShardedRun {
           stopped_by.insert(d.responder);
           continue;
         }
-        // RetryLater: claimed or outstanding work elsewhere; nap but keep
-        // serving duties so a thief or an obit never waits on us.
-        (void)serve_until(comm.now() + jittered(ft.worker_poll, rng), -1, -1,
-                          nullptr);
+        // RetryLater: claimed or outstanding work remains with that owner.
+        park(d.responder);
       } catch (const fault::CrashSignal&) {
         on_signal(stopped_by);
         if (i_died) {
@@ -1179,11 +1242,19 @@ struct ShardedRun {
     return true;
   }
 
+  bool exit_acked() const {
+    for (const int t : owner_ranks()) {
+      if (t != me && my_exit_acked.count(t) == 0) return false;
+    }
+    return true;
+  }
+
   /// Announce worker-done to every owner and wait for the acks (with
   /// death discovery, since a target owner may silently be a ghost).
   void announce_exit() {
     worker_done = true;
     exited.insert(me);
+    const double t0 = comm.now();
     int rounds = 0;
     int walk = 0;
     while (true) {
@@ -1197,11 +1268,12 @@ struct ShardedRun {
         if (first_unacked < 0) first_unacked = t;
         comm.send_bytes(t, kTagExit, pack_exit(ex));
       }
-      if (first_unacked < 0) return;
+      if (first_unacked < 0) break;
       if (++rounds % kProbeEvery == 0) probe(first_unacked, walk++);
       (void)serve_until(comm.now() + jittered(ft.worker_poll, rng), -1, -1,
-                        nullptr);
+                        nullptr, [this] { return exit_acked(); });
     }
+    trace_termination_wait(t0);
   }
 
   /// Everyone else exited or died and grants can no longer flow: run the
@@ -1248,24 +1320,28 @@ struct ShardedRun {
     }
   }
 
+  bool others_gone() const {
+    for (int r = 0; r < p; ++r) {
+      if (r != me && alive(r) && exited.count(r) == 0) return false;
+    }
+    return true;
+  }
+
   /// Owner role tail: serve commits/grants until every shard settled and
   /// every other rank exited or died.
   void run_owner() {
+    const double t0 = comm.now();
+    const auto gone = [this] { return others_gone() && !any_awaiting(); };
     while (!shards.empty()) {
-      bool all_gone = true;
-      for (int r = 0; r < p; ++r) {
-        if (r != me && alive(r) && exited.count(r) == 0) {
-          all_gone = false;
-          break;
-        }
-      }
-      if (all_gone && !any_awaiting()) {
-        if (!all_settled()) endgame();
-        if (all_settled()) break;
-      }
+      // Serve first even when everyone is already gone: upkeep() sends the
+      // exit and obit acks deferred until this rank's worker role ended.
       (void)serve_until(comm.now() + jittered(ft.worker_poll, rng), -1, -1,
-                        nullptr);
+                        nullptr, gone);
+      if (!gone()) continue;
+      if (!all_settled()) endgame();
+      if (all_settled()) break;
     }
+    trace_termination_wait(t0);
     if (ctx.failed != nullptr) {
       for (const auto& [sid, sh] : shards) {
         for (std::uint64_t t = sh.lo; t < sh.hi; ++t) {

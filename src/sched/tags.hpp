@@ -56,7 +56,8 @@ constexpr int kTagObitAck = reserved_tag(8);   ///< peer -> dying rank: obit ack
 constexpr int kTagExit = reserved_tag(9);      ///< worker -> owners: done mapping
 constexpr int kTagExitAck = reserved_tag(10);  ///< owner -> worker: exit ack
 constexpr int kTagShardImage = reserved_tag(11);  ///< dying owner -> successor
+constexpr int kTagWake = reserved_tag(12);  ///< owner -> parked asker: re-ask now
 
-static_assert(is_reserved_tag(kTagTask) && is_reserved_tag(kTagShardImage));
+static_assert(is_reserved_tag(kTagTask) && is_reserved_tag(kTagWake));
 
 }  // namespace mrbio::sched

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <functional>
+#include <string>
 
 #include "mpi/comm.hpp"
 #include "mrblast/mrblast.hpp"
@@ -143,6 +144,50 @@ TEST(Breakdown, HandBuiltPartitionSumsExactly) {
   EXPECT_DOUBLE_EQ(b.collective_skew, 1.5);
   EXPECT_DOUBLE_EQ(b.idle_other, 0.5);
   EXPECT_DOUBLE_EQ(b.busy_total() + b.idle_total(), b.final_time);
+}
+
+TEST(Breakdown, TerminationWaitIsItsOwnIdleCategory) {
+  // Rank 0 of a sharded steal-ft map: useful work [0,2], a steal sweep
+  // [2,2.5], parked after a RetryLater [2.5,3] while serving a steal
+  // [2.7,2.8], then the exit handshake and owner tail [3,3.6] around a
+  // receive [3.2,3.4], a recovery span [3.6,3.7], final time 4. The
+  // termination spans claim their receive ahead of comm_overhead, busy
+  // time inside them stays busy, and the categories still tile rank-time.
+  Recorder rec(2, Level::Full);
+  rec.add(0, Category::App, "search", 0.0, 2.0);
+  rec.add(0, Category::Fault, "steal_wait", 2.0, 2.5);
+  rec.add(0, Category::Fault, "termination_wait", 2.5, 3.0);
+  rec.add(0, Category::Compute, "serve_steal", 2.7, 2.8);
+  rec.add(0, Category::Fault, "termination_wait", 3.0, 3.6);
+  rec.add_edge(0, Category::RecvWait, "recv", 3.2, 3.4, 16, /*peer=*/1, /*seq=*/1,
+               /*dep=*/3.4);
+  rec.add(0, Category::Fault, "phi_evict", 3.6, 3.7);
+  rec.set_final_time(0, 4.0);
+  rec.set_final_time(1, 4.0);
+  const Report report = analyze(rec);
+  const RankBreakdown& b = report.ranks.at(0);
+  EXPECT_DOUBLE_EQ(b.useful, 2.0);
+  EXPECT_NEAR(b.other_busy, 0.1, 1e-12);
+  EXPECT_NEAR(b.steal_wait, 0.5, 1e-12);
+  EXPECT_NEAR(b.termination_wait, 1.0, 1e-12);
+  EXPECT_NEAR(b.recovery_wait, 0.1, 1e-12);
+  EXPECT_DOUBLE_EQ(b.comm_overhead, 0.0);
+  EXPECT_NEAR(b.idle_other, 0.3, 1e-12);
+  EXPECT_NEAR(b.busy_total() + b.idle_total(), b.final_time, 1e-12);
+  EXPECT_DOUBLE_EQ(report.total.termination_wait, b.termination_wait);
+
+  // Both report formats (--report, --report-json, mrbio_report) carry it.
+  std::FILE* f = std::tmpfile();
+  ASSERT_NE(f, nullptr);
+  print_report(f, report);
+  write_report_json(f, report);
+  std::rewind(f);
+  std::string text;
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), f)) > 0;) text.append(buf, n);
+  std::fclose(f);
+  EXPECT_NE(text.find("\ntermination_wait "), std::string::npos) << text;
+  EXPECT_NE(text.find("\"termination_wait\":"), std::string::npos) << text;
 }
 
 TEST(Stragglers, RanksAboveKTimesMedianAreListed) {

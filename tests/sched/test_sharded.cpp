@@ -1,19 +1,25 @@
 // Sharded-ledger specifics of the fault-tolerant steal scheduler: ledger
 // failover when a shard owner — including rank 0 — crashes permanently
 // mid-map, exactly-once output across ledger_ranks shapes and heartbeat
-// eviction, and checkpoint integration (a full run journals every commit
+// eviction, the event-driven endgame (parked askers woken on the commit,
+// no poll-sized gap after the last task, lost, late and stale wakes
+// harmless), and checkpoint integration (a full run journals every commit
 // per shard; corrupting exactly one shard's journal re-executes only that
 // shard's task range on resume).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "ckpt/ckpt.hpp"
@@ -21,6 +27,7 @@
 #include "fault/fault.hpp"
 #include "mpi/comm.hpp"
 #include "mrmpi/mapreduce.hpp"
+#include "obs/metrics.hpp"
 #include "sched/internal.hpp"
 #include "sched/sched.hpp"
 #include "sim/engine.hpp"
@@ -34,7 +41,29 @@ struct ShardedRun {
   std::map<int, std::uint64_t> emitted_by_rank;
   std::vector<std::uint64_t> failed;
   MapReduceStats stats;  ///< summed across all ranks
+  /// Virtual seconds from the end of the last task to the last rank's
+  /// return from map().
+  double endgame_gap = 0.0;
+  std::uint64_t parks = 0;          ///< RetryLater answers an asker parked on
+  std::uint64_t park_timeouts = 0;  ///< parks ended by the poll fallback
+  fault::InjectorStats faults;
 };
+
+std::uint64_t counter(const obs::Registry& metrics, std::string_view name) {
+  const obs::Counter* c = metrics.find_counter(name);
+  return c != nullptr ? c->value() : 0;
+}
+
+/// Virtual seconds of compute charged by task `t`.
+using CostFn = std::function<double(std::uint64_t)>;
+
+CostFn flat_cost(double seconds) {
+  return [seconds](std::uint64_t) { return seconds; };
+}
+
+/// 1 ms tasks with a 6 ms one every fifth task: ranks drain unevenly, so
+/// askers meet RetryLater and park on owners whose long tasks still run.
+double skewed_cost(std::uint64_t t) { return t % 5 == 4 ? 0.006 : 0.001; }
 
 /// Runs `ntasks` self-emitting tasks on `n` ranks under the sharded steal
 /// ledger (steal + ft.enabled), with full control of the FtConfig and an
@@ -42,13 +71,15 @@ struct ShardedRun {
 ShardedRun run_sharded(int n, std::uint64_t ntasks, const std::string& plan,
                        const sched::FtConfig& ft,
                        ckpt::Checkpointer* checkpointer = nullptr,
-                       double task_cost = 0.01) {
+                       const CostFn& task_cost = flat_cost(0.01)) {
   fault::Injector injector(fault::FaultPlan::parse(plan));
   injector.plan().validate(n, /*checkpointing=*/checkpointer != nullptr,
                            /*master_failover=*/true);
+  obs::Registry metrics;
   sim::EngineConfig ec;
   ec.nprocs = n;
   ec.stack_bytes = 512 * 1024;
+  ec.metrics = &metrics;
   if (!plan.empty()) ec.injector = &injector;
   sim::Engine engine(ec);
 
@@ -60,6 +91,8 @@ ShardedRun run_sharded(int n, std::uint64_t ntasks, const std::string& plan,
 
   ShardedRun out;
   std::mutex mu;
+  double last_task_end = 0.0;
+  double last_leave = 0.0;
   engine.run([&](sim::Process& p) {
     mpi::Comm comm(p);
     MapReduce mr(comm, cfg);
@@ -68,10 +101,15 @@ ShardedRun run_sharded(int n, std::uint64_t ntasks, const std::string& plan,
         std::lock_guard<std::mutex> lock(mu);
         out.executed.insert(t);
       }
-      if (task_cost > 0.0) comm.compute(task_cost);
+      comm.compute(task_cost(t));
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        last_task_end = std::max(last_task_end, comm.now());
+      }
       kv.add("task", std::to_string(t));
     });
     std::lock_guard<std::mutex> lock(mu);
+    last_leave = std::max(last_leave, comm.now());
     mr.kv().for_each([&](const KvPair& pair) {
       const std::string v(reinterpret_cast<const char*>(pair.value.data()),
                           pair.value.size());
@@ -85,6 +123,10 @@ ShardedRun run_sharded(int n, std::uint64_t ntasks, const std::string& plan,
     const std::vector<std::uint64_t> f = mr.failed_tasks();
     out.failed.insert(out.failed.end(), f.begin(), f.end());
   });
+  out.endgame_gap = last_leave - last_task_end;
+  out.parks = counter(metrics, "sched.parks");
+  out.park_timeouts = counter(metrics, "sched.park_timeouts");
+  out.faults = injector.stats();
   return out;
 }
 
@@ -159,6 +201,166 @@ TEST(Sharded, AdaptiveTimeoutRecoversACrash) {
       run_sharded(4, 24, "crash:rank=3,t=0.05,mode=permanent", ft);
   expect_exactly_once(run, 24);
   EXPECT_GE(run.stats.worker_deaths, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Endgame: waits end on their event, the poll deadline is only a fallback
+
+TEST(Sharded, FaultFreeEndgameHasNoNap) {
+  // Fault-free, every endgame wait ends on the event it waits for — the
+  // last exit ack, the last exit — so the last rank leaves map() a small
+  // fraction of one worker_poll after the last task ends. A poll-paced
+  // endgame leaves a gap of about one poll.
+  for (const int n : {3, 4, 8}) {
+    for (const int shards : {0, 1, 2}) {
+      sched::FtConfig ft;
+      ft.ledger_ranks = shards;
+      const ShardedRun run = run_sharded(n, 24, "", ft, nullptr, flat_cost(0.001));
+      expect_exactly_once(run, 24);
+      EXPECT_LT(run.endgame_gap, ft.worker_poll / 10)
+          << n << " ranks, ledger_ranks " << shards;
+    }
+  }
+}
+
+TEST(Sharded, ParkedAskerWakesOnTheCommit) {
+  // Skewed costs drain ranks unevenly, so askers meet RetryLater from
+  // owners whose claimed tasks still run and park. The owner's wake on
+  // the settling commit (or, parked on its own shards, their state) ends
+  // every park: no park needs its poll fallback and the endgame keeps no
+  // poll-sized gap.
+  std::uint64_t parks = 0;
+  for (const int n : {3, 4}) {
+    for (const int shards : {0, 1, 2}) {
+      sched::FtConfig ft;
+      ft.ledger_ranks = shards;
+      const ShardedRun run = run_sharded(n, 24, "", ft, nullptr, skewed_cost);
+      expect_exactly_once(run, 24);
+      EXPECT_LT(run.endgame_gap, ft.worker_poll / 10)
+          << n << " ranks, ledger_ranks " << shards;
+      EXPECT_EQ(run.park_timeouts, 0u) << n << " ranks, ledger_ranks " << shards;
+      parks += run.parks;
+    }
+  }
+  EXPECT_GT(parks, 0u) << "no asker parked: the test no longer covers wakes";
+}
+
+TEST(Sharded, LastFinishingOwnerSendsDeferredExitAcks) {
+  // Five ranks, one ledger owner (rank 0), one 80 ms task. While rank 0's
+  // worker still sweeps its victims, that task commits and settles the
+  // ledger, so the parked ranks are woken, told Stop, and announce their
+  // exits; rank 0 defers the acks until its own worker role ends. With no
+  // other owner to exit to, everyone is already gone when its tail
+  // starts. The tail must still send the deferred acks before it leaves
+  // map(), or every other rank waits for them forever.
+  sched::FtConfig ft;
+  ft.ledger_ranks = 1;
+  const ShardedRun run = run_sharded(5, 24, "", ft, nullptr, [](std::uint64_t t) {
+    return t == 6 ? 0.08 : 0.001;
+  });
+  expect_exactly_once(run, 24);
+  EXPECT_GT(run.parks, 0u);
+  EXPECT_LT(run.endgame_gap, ft.worker_poll / 10);
+}
+
+/// Every message the fault-free run sends on the `ch` channel
+/// ("src=S,dst=D"), counted through a matching no-op delay.
+int channel_messages(int n, const std::string& ch, const sched::FtConfig& ft,
+                     const CostFn& cost) {
+  const ShardedRun probe = run_sharded(n, 24, "delay:" + ch + ",count=1000000,by=1e-9",
+                                       ft, nullptr, cost);
+  return static_cast<int>(probe.faults.messages_delayed);
+}
+
+/// Plan that delays only the k-th message (0-based) on `ch` by `by` seconds:
+/// the earlier ones pass through a matching 1 ns delay first.
+std::string delay_kth(const std::string& ch, int k, double by) {
+  std::string plan;
+  if (k > 0) plan = "delay:" + ch + ",count=" + std::to_string(k) + ",by=1e-9; ";
+  return plan + "delay:" + ch + ",count=1,by=" + std::to_string(by);
+}
+
+TEST(Sharded, LostOrLateWakeFallsBackToTheTimedReask) {
+  // The wake is a hint, never needed for correctness. On 3 ranks with
+  // one ledger owner (rank 0) and skewed costs, askers park on rank 0.
+  // Dropping the first k messages rank 0 sends an asker, or delaying the
+  // k-th alone past the poll deadline, covers every wake on that channel:
+  // each run must still emit every task exactly once, with a parked asker
+  // whose wake is lost or late re-asking on its worker_poll fallback.
+  sched::FtConfig ft;
+  ft.ledger_ranks = 1;
+  ASSERT_GT(run_sharded(3, 24, "", ft, nullptr, skewed_cost).parks, 0u);
+  std::uint64_t park_timeouts = 0;
+  for (const int asker : {1, 2}) {
+    const std::string ch = "src=0,dst=" + std::to_string(asker);
+    const int total = channel_messages(3, ch, ft, skewed_cost);
+    ASSERT_GT(total, 0) << ch;
+    for (int k = 0; k < total; ++k) {
+      for (const std::string& plan : {"drop:" + ch + ",count=" + std::to_string(k + 1),
+                                      delay_kth(ch, k, 4 * ft.worker_poll)}) {
+        const ShardedRun run = run_sharded(3, 24, plan, ft, nullptr, skewed_cost);
+        expect_exactly_once(run, 24);
+        EXPECT_EQ(run.faults.messages_dropped + run.faults.messages_delayed,
+                  static_cast<std::uint64_t>(k + 1))
+            << plan;
+        park_timeouts += run.park_timeouts;
+      }
+    }
+  }
+  EXPECT_GT(park_timeouts, 0u) << "no plan made a parked asker fall back";
+}
+
+TEST(Sharded, WakeFromAnEarlierMapIsIgnoredByItsEpoch) {
+  // Channels are FIFO and an owner's Stop and exit ack follow its wake,
+  // so a wake is consumed in its own map; one reaches the next map only
+  // through a transport that reorders. Model that straggler: during map
+  // 2, rank 0 re-sends map 1's wake (steal epochs count maps from 1) to
+  // every other rank. Each must be dropped by its epoch — a wake carries
+  // no ledger state, so accepting it could cost a round trip, never a
+  // task — and both maps still emit every task exactly once.
+  constexpr int kRanks = 3;
+  constexpr std::uint64_t kTasks = 24;
+  obs::Registry metrics;
+  sim::EngineConfig ec;
+  ec.nprocs = kRanks;
+  ec.stack_bytes = 512 * 1024;
+  ec.metrics = &metrics;
+  sim::Engine engine(ec);
+  MapReduceConfig cfg;
+  cfg.scheduler = sched::Policy::Steal;
+  cfg.ft.enabled = true;
+  cfg.ft.ledger_ranks = 1;
+
+  std::mutex mu;
+  std::multiset<std::uint64_t> emitted;  ///< map * kTasks + task
+  engine.run([&](sim::Process& p) {
+    mpi::Comm comm(p);
+    MapReduce mr(comm, cfg);
+    for (std::uint64_t m = 0; m < 2; ++m) {
+      bool sent = false;
+      mr.map(kTasks, [&](std::uint64_t t, KeyValue& kv) {
+        if (m == 1 && comm.rank() == 0 && !sent) {
+          for (int r = 1; r < kRanks; ++r) {
+            comm.send_bytes(r, sched::kTagWake, sched::pack_wake(/*epoch=*/1));
+          }
+          sent = true;
+        }
+        comm.compute(skewed_cost(t));
+        kv.add("task", std::to_string(m * kTasks + t));
+      });
+      std::lock_guard<std::mutex> lock(mu);
+      mr.kv().for_each([&](const KvPair& pair) {
+        const std::string v(reinterpret_cast<const char*>(pair.value.data()),
+                            pair.value.size());
+        emitted.insert(std::stoull(v));
+      });
+    }
+  });
+  EXPECT_EQ(emitted.size(), 2 * kTasks);
+  for (std::uint64_t id = 0; id < 2 * kTasks; ++id) {
+    EXPECT_EQ(emitted.count(id), 1u) << "map " << id / kTasks << " task " << id % kTasks;
+  }
+  EXPECT_EQ(counter(metrics, "sched.stale_wakes"), static_cast<std::uint64_t>(kRanks - 1));
 }
 
 // ---------------------------------------------------------------------------
