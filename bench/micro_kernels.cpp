@@ -138,19 +138,51 @@ void BM_BmuSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_BmuSearch)->Arg(10)->Arg(50);
 
-void BM_BatchAccumulate(benchmark::State& state) {
-  som::Codebook cb(som::SomGrid{50, 50}, 256);
+// Batch SOM at the som_batch workload's shape: a 30x30 map of 64-D
+// code vectors. add() is one BMU scan plus a 64-wide add into the BMU's
+// sum; apply() is the per-epoch neighbourhood update over the active BMUs.
+constexpr std::size_t kSomSide = 30;
+constexpr std::size_t kSomDim = 64;
+
+void BM_BatchAccumulatorAdd(benchmark::State& state) {
+  som::Codebook cb(som::SomGrid{kSomSide, kSomSide}, kSomDim);
   Rng rng(9);
   cb.init_random(rng);
-  std::vector<float> x(256);
+  std::vector<float> x(kSomDim);
   for (float& v : x) v = static_cast<float>(rng.uniform());
-  som::BatchAccumulator acc(cb.grid(), 256);
+  som::BatchAccumulator acc(cb.grid(), kSomDim, 5.0, som::Kernel::Gaussian);
   for (auto _ : state) {
     benchmark::DoNotOptimize(acc.add(cb, x, 5.0));
   }
-  state.SetItemsProcessed(state.iterations() * 2'500 * 256);
+  // One distance per cell.
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kSomSide * kSomSide * kSomDim));
 }
-BENCHMARK(BM_BatchAccumulate);
+BENCHMARK(BM_BatchAccumulatorAdd);
+
+void BM_BatchAccumulatorApply(benchmark::State& state) {
+  som::Codebook cb(som::SomGrid{kSomSide, kSomSide}, kSomDim);
+  Rng rng(10);
+  cb.init_random(rng);
+  // One epoch of som_batch's 10,240 uniform inputs.
+  som::BatchAccumulator acc(cb.grid(), kSomDim, 5.0, som::Kernel::Gaussian);
+  std::vector<float> x(kSomDim);
+  for (int i = 0; i < 10'240; ++i) {
+    for (float& v : x) v = static_cast<float>(rng.uniform());
+    acc.add(cb, x, 5.0);
+  }
+  std::int64_t active = 0;
+  for (const float n : acc.bmu_counts()) active += n > 0.0f ? 1 : 0;
+  for (auto _ : state) {
+    acc.apply(cb);
+    benchmark::DoNotOptimize(cb.weights().data());
+    benchmark::ClobberMemory();
+  }
+  // One dim-wide multiply-add per (neuron, active BMU) pair.
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kSomSide * kSomSide) *
+                          active * static_cast<std::int64_t>(kSomDim));
+}
+BENCHMARK(BM_BatchAccumulatorApply);
 
 void BM_KeyValueAdd(benchmark::State& state) {
   const std::string key = "query_00012345";

@@ -4,12 +4,14 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "ckpt/ckpt.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/serialize.hpp"
 #include "obs/metrics.hpp"
+#include "simd/simd.hpp"
 
 namespace mrbio::mrsom {
 
@@ -24,7 +26,78 @@ std::array<std::byte, 8> block_key(std::uint64_t block) {
   return key;
 }
 
+std::uint64_t block_of_key(std::span<const std::byte> key) {
+  std::uint64_t block = 0;
+  for (const std::byte b : key) block = (block << 8) | static_cast<std::uint64_t>(b);
+  return block;
+}
+
 }  // namespace
+
+std::vector<std::byte> encode_block_sums(const som::BatchAccumulator& block, double qerr) {
+  const std::span<const float> counts = block.bmu_counts();
+  const std::span<const float> sums = block.bmu_sums();
+  const std::size_t dim = sums.size() / counts.size();
+  MRBIO_CHECK(counts.size() <= std::numeric_limits<std::uint32_t>::max(),
+              "SOM grid too large for a u32 cell id");
+  ByteWriter w;
+  w.put(qerr);
+  for (std::size_t c = 0; c < counts.size(); ++c) {
+    if (counts[c] <= 0.0f) continue;
+    w.put(static_cast<std::uint32_t>(c));
+    w.put(static_cast<std::uint32_t>(counts[c]));
+    w.append(sums.data() + c * dim, dim * sizeof(float));
+  }
+  return w.take();
+}
+
+double fold_block_sums(som::BatchAccumulator& total, std::span<const std::byte> record,
+                       std::uint64_t block, std::size_t inputs, std::size_t epoch) {
+  const std::span<float> counts = total.bmu_counts();
+  const std::span<float> sums = total.bmu_sums();
+  const std::size_t cells = counts.size();
+  const std::size_t dim = sums.size() / cells;
+  const std::size_t entry = 2 * sizeof(std::uint32_t) + dim * sizeof(float);
+  MRBIO_CHECK(record.size() >= sizeof(double) && (record.size() - sizeof(double)) % entry == 0,
+              "som block ", block, " in epoch ", epoch, ": record of ", record.size(),
+              " bytes is not 8 + k * ", entry);
+  const std::size_t k = (record.size() - sizeof(double)) / entry;
+  MRBIO_CHECK(k <= inputs, "som block ", block, " in epoch ", epoch, ": ", k,
+              " BMU entries for ", inputs, " inputs");
+
+  // Validate every entry before adding any, so a bad record leaves
+  // `total` untouched.
+  ByteReader check(record.subspan(sizeof(double)));
+  std::uint64_t seen = 0;
+  std::uint32_t prev = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const auto cell = check.get<std::uint32_t>();
+    const auto n = check.get<std::uint32_t>();
+    check.raw(dim * sizeof(float));
+    MRBIO_CHECK(cell < cells && (i == 0 || cell > prev), "som block ", block, " in epoch ",
+                epoch, ": entry ", i, " has cell ", cell,
+                " (cells must ascend strictly below ", cells, ")");
+    MRBIO_CHECK(n > 0, "som block ", block, " in epoch ", epoch, ": cell ", cell,
+                " has a zero count");
+    seen += n;
+    prev = cell;
+  }
+  MRBIO_CHECK(seen == inputs, "som block ", block, " in epoch ", epoch, ": counts sum to ",
+              seen, ", not the block's ", inputs, " inputs");
+
+  ByteReader r(record);
+  const auto qerr = r.get<double>();
+  const simd::Kernels& kern = simd::kernels();
+  std::vector<float> sum(dim);
+  for (std::size_t i = 0; i < k; ++i) {
+    const auto cell = r.get<std::uint32_t>();
+    const auto n = r.get<std::uint32_t>();
+    std::memcpy(sum.data(), r.raw(dim * sizeof(float)).data(), dim * sizeof(float));
+    kern.add_f32(sums.data() + static_cast<std::size_t>(cell) * dim, sum.data(), dim);
+    counts[cell] += static_cast<float>(n);
+  }
+  return qerr;
+}
 
 som::Codebook train_som_mr(mpi::Comm& comm, const MatrixView& data,
                            const som::Codebook& initial, const ParallelSomConfig& config) {
@@ -37,6 +110,11 @@ som::Codebook train_som_mr(mpi::Comm& comm, const MatrixView& data,
   const std::size_t cells = grid.cells();
   const std::uint64_t nblocks =
       (data.rows() + config.block_vectors - 1) / config.block_vectors;
+  // Rows [first, first + count) of one map block.
+  const auto block_rows = [&](std::uint64_t block) {
+    const std::size_t first = static_cast<std::size_t>(block) * config.block_vectors;
+    return std::pair{first, std::min(config.block_vectors, data.rows() - first)};
+  };
 
   // Crash recovery replays map blocks on other workers, so every block's
   // contribution must travel the exactly-once KV path, not a shared
@@ -57,6 +135,8 @@ som::Codebook train_som_mr(mpi::Comm& comm, const MatrixView& data,
   mr_config.checkpointer = (ckpt_on && deterministic) ? cp : nullptr;
   mrmpi::MapReduce mr(comm, mr_config);
 
+  // One input's BMU scan: a dim-wide distance to every cell. The
+  // neighbourhood work is rank 0's, once per epoch (charged at apply).
   const double per_vector_cost =
       config.flop_seconds * static_cast<double>(dim) * static_cast<double>(cells);
 
@@ -116,31 +196,28 @@ som::Codebook train_som_mr(mpi::Comm& comm, const MatrixView& data,
     }
 
     const double sigma = som::sigma_at(config.params, grid, epoch);
-    som::BatchAccumulator total(grid, dim);
+    const som::Kernel kernel = config.params.kernel;
+    som::BatchAccumulator total(grid, dim, sigma, kernel);
     double epoch_qerr = 0.0;
 
     if (deterministic) {
-      // Each block's accumulator rides the KV store keyed by block id; the
-      // master sums them in block order after a gather + key sort, so the
-      // float arithmetic happens in one schedule-independent order.
+      // Each block's per-BMU sums ride the KV store keyed by block id as a
+      // sparse record (one entry per distinct BMU); the master adds them in
+      // block order after a gather + key sort, so the float arithmetic
+      // happens in one schedule-independent order.
       mr.map(nblocks, [&](std::uint64_t block, mrmpi::KeyValue& kv) {
-        const std::size_t first = static_cast<std::size_t>(block) * config.block_vectors;
-        const std::size_t count = std::min(config.block_vectors, data.rows() - first);
+        const auto [first, count] = block_rows(block);
         const double t0 = comm.now();
-        som::BatchAccumulator bacc(grid, dim);
+        som::BatchAccumulator bacc(grid, dim, sigma, kernel);
         double block_qerr = 0.0;
         for (std::size_t r = first; r < first + count; ++r) {
-          block_qerr += bacc.add(cb, data.row(r), sigma, config.params.kernel);
+          block_qerr += bacc.add(cb, data.row(r), sigma, kernel);
         }
         if (per_vector_cost > 0.0) {
           comm.compute(per_vector_cost * static_cast<double>(count));
         }
-        ByteWriter w;
-        w.append(bacc.numerator().data(), bacc.numerator().size() * sizeof(float));
-        w.append(bacc.denominator().data(), bacc.denominator().size() * sizeof(float));
-        w.put(block_qerr);
         const std::array<std::byte, 8> key = block_key(block);
-        const std::vector<std::byte> value = w.take();
+        const std::vector<std::byte> value = encode_block_sums(bacc, block_qerr);
         kv.add(std::span<const std::byte>(key), std::span<const std::byte>(value));
         if (trace::Recorder* rec = comm.tracer(); rec != nullptr) {
           rec->add(comm.rank(), trace::Category::App, "accumulate", t0, comm.now(), count);
@@ -153,33 +230,27 @@ som::Codebook train_som_mr(mpi::Comm& comm, const MatrixView& data,
         reg->histogram("som.epoch_reduce_seconds").observe(comm.now() - t_reduce);
       }
       if (comm.rank() == 0) {
-        const std::size_t nfloats = cells * dim + cells;
-        std::vector<float> scratch(nfloats);
+        std::uint64_t folded = 0;
         mr.kv().for_each([&](const mrmpi::KvPair& pair) {
-          MRBIO_CHECK(pair.value.size() == nfloats * sizeof(float) + sizeof(double),
-                      "som accumulator value size mismatch");
-          std::memcpy(scratch.data(), pair.value.data(), nfloats * sizeof(float));
-          for (std::size_t i = 0; i < cells * dim; ++i) {
-            total.numerator()[i] += scratch[i];
-          }
-          for (std::size_t i = 0; i < cells; ++i) {
-            total.denominator()[i] += scratch[cells * dim + i];
-          }
-          double q = 0.0;
-          std::memcpy(&q, pair.value.data() + nfloats * sizeof(float), sizeof(double));
-          epoch_qerr += q;
+          const std::uint64_t block = block_of_key(pair.key);
+          // Sorted keys: exactly-once delivery means block ids 0, 1, 2, ...
+          MRBIO_CHECK(pair.key.size() == 8 && block == folded, "som block ", block,
+                      " in epoch ", epoch, ": expected block ", folded);
+          epoch_qerr += fold_block_sums(total, pair.value, block, block_rows(block).second, epoch);
+          ++folded;
         });
+        MRBIO_CHECK(folded == nblocks, "som epoch ", epoch, ": folded ", folded, " of ",
+                    nblocks, " blocks");
       }
     } else {
-      som::BatchAccumulator acc(grid, dim);
+      som::BatchAccumulator acc(grid, dim, sigma, kernel);
       double local_qerr = 0.0;
 
       mr.map(nblocks, [&](std::uint64_t block, mrmpi::KeyValue&) {
-        const std::size_t first = static_cast<std::size_t>(block) * config.block_vectors;
-        const std::size_t count = std::min(config.block_vectors, data.rows() - first);
+        const auto [first, count] = block_rows(block);
         const double t0 = comm.now();
         for (std::size_t r = first; r < first + count; ++r) {
-          local_qerr += acc.add(cb, data.row(r), sigma, config.params.kernel);
+          local_qerr += acc.add(cb, data.row(r), sigma, kernel);
         }
         if (per_vector_cost > 0.0) {
           comm.compute(per_vector_cost * static_cast<double>(count));
@@ -191,10 +262,14 @@ som::Codebook train_som_mr(mpi::Comm& comm, const MatrixView& data,
 
       // Fig. 2: "a collective MPI_Reduce() call is used to sum all newly
       // computed numerators and denominators" -- direct MPI, no reduce().
-      std::vector<float> packed(acc.numerator().size() + acc.denominator().size());
-      std::copy(acc.numerator().begin(), acc.numerator().end(), packed.begin());
-      std::copy(acc.denominator().begin(), acc.denominator().end(),
-                packed.begin() + static_cast<std::ptrdiff_t>(acc.numerator().size()));
+      // Here the per-BMU sums and counts: the same cells x dim + cells
+      // floats, from which the master forms both.
+      const std::span<const float> sums = acc.bmu_sums();
+      const std::span<const float> counts = acc.bmu_counts();
+      std::vector<float> packed(sums.size() + counts.size());
+      std::copy(sums.begin(), sums.end(), packed.begin());
+      std::copy(counts.begin(), counts.end(),
+                packed.begin() + static_cast<std::ptrdiff_t>(sums.size()));
       const double t_reduce = comm.now();
       comm.reduce(packed, mpi::ReduceOp::Sum, 0);
       std::vector<double> qerr_buf{local_qerr};
@@ -203,11 +278,10 @@ som::Codebook train_som_mr(mpi::Comm& comm, const MatrixView& data,
         reg->histogram("som.epoch_reduce_seconds").observe(comm.now() - t_reduce);
       }
       if (comm.rank() == 0) {
-        std::copy(packed.begin(),
-                  packed.begin() + static_cast<std::ptrdiff_t>(cells * dim),
-                  total.numerator().begin());
-        std::copy(packed.begin() + static_cast<std::ptrdiff_t>(cells * dim), packed.end(),
-                  total.denominator().begin());
+        std::copy(packed.begin(), packed.begin() + static_cast<std::ptrdiff_t>(sums.size()),
+                  total.bmu_sums().begin());
+        std::copy(packed.begin() + static_cast<std::ptrdiff_t>(sums.size()), packed.end(),
+                  total.bmu_counts().begin());
         epoch_qerr = qerr_buf[0];
       }
     }
@@ -215,6 +289,15 @@ som::Codebook train_som_mr(mpi::Comm& comm, const MatrixView& data,
     if (comm.rank() == 0) {
       const double t_apply = comm.now();
       total.apply(cb);
+      if (config.flop_seconds > 0.0) {
+        // Eq. 5 from per-BMU sums: a dim-wide multiply-add per (neuron,
+        // active BMU) pair.
+        const std::span<const float> counts = total.bmu_counts();
+        const auto active = std::count_if(counts.begin(), counts.end(),
+                                          [](float n) { return n > 0.0f; });
+        comm.compute(config.flop_seconds * static_cast<double>(cells) *
+                     static_cast<double>(active) * static_cast<double>(dim));
+      }
       if (trace::Recorder* rec = comm.tracer(); rec != nullptr) {
         rec->add(comm.rank(), trace::Category::App, "codebook_update", t_apply, comm.now(),
                  cells);

@@ -16,24 +16,38 @@ double wrap_delta(double d, double n) {
   if (d < -n / 2.0) return d + n;
   return d;
 }
+
+/// Squared map distance from cell a to cell b given only the row and
+/// column deltas (a minus b) and the two rows' parities: the whole input
+/// of grid_dist2 in every topology, which is what NeighborhoodTable keys.
+double lattice_dist2(const SomGrid& g, double dr, double dc, std::size_t parity_a,
+                     std::size_t parity_b) {
+  if (g.topology == GridTopology::Hexagonal) {
+    // Odd-row offset layout with unit spacing between adjacent cells.
+    dc += 0.5 * (static_cast<double>(parity_a) - static_cast<double>(parity_b));
+    dr *= 0.8660254037844386;  // sqrt(3)/2
+    if (g.toroidal) {
+      dr = wrap_delta(dr, static_cast<double>(g.rows) * 0.8660254037844386);
+      dc = wrap_delta(dc, static_cast<double>(g.cols));
+    }
+  } else if (g.toroidal) {
+    dr = wrap_delta(dr, static_cast<double>(g.rows));
+    dc = wrap_delta(dc, static_cast<double>(g.cols));
+  }
+  return dr * dr + dc * dc;
+}
+
+/// The kernel at squared map distance d2 (Eq. 4 for the Gaussian).
+double kernel_value(double d2, double sigma, Kernel kernel) {
+  if (kernel == Kernel::Bubble) return d2 <= sigma * sigma ? 1.0 : 0.0;
+  return std::exp(-d2 / (2.0 * sigma * sigma));
+}
 }  // namespace
 
 double SomGrid::grid_dist2(std::size_t a, std::size_t b) const {
-  double dr = static_cast<double>(row_of(a)) - static_cast<double>(row_of(b));
-  double dc = static_cast<double>(col_of(a)) - static_cast<double>(col_of(b));
-  if (topology == GridTopology::Hexagonal) {
-    // Odd-row offset layout with unit spacing between adjacent cells.
-    dc += 0.5 * (static_cast<double>(row_of(a) % 2) - static_cast<double>(row_of(b) % 2));
-    dr *= 0.8660254037844386;  // sqrt(3)/2
-    if (toroidal) {
-      dr = wrap_delta(dr, static_cast<double>(rows) * 0.8660254037844386);
-      dc = wrap_delta(dc, static_cast<double>(cols));
-    }
-  } else if (toroidal) {
-    dr = wrap_delta(dr, static_cast<double>(rows));
-    dc = wrap_delta(dc, static_cast<double>(cols));
-  }
-  return dr * dr + dc * dc;
+  return lattice_dist2(*this, static_cast<double>(row_of(a)) - static_cast<double>(row_of(b)),
+                       static_cast<double>(col_of(a)) - static_cast<double>(col_of(b)),
+                       row_of(a) % 2, row_of(b) % 2);
 }
 
 bool SomGrid::adjacent(std::size_t a, std::size_t b) const {
@@ -186,9 +200,39 @@ std::pair<std::size_t, std::size_t> find_bmu2(const Codebook& cb, std::span<cons
 double neighborhood(const SomGrid& grid, std::size_t bmu, std::size_t j, double sigma,
                     Kernel kernel) {
   MRBIO_CHECK(sigma > 0.0, "neighborhood width must be positive");
-  const double d2 = grid.grid_dist2(bmu, j);
-  if (kernel == Kernel::Bubble) return d2 <= sigma * sigma ? 1.0 : 0.0;
-  return std::exp(-d2 / (2.0 * sigma * sigma));
+  return kernel_value(grid.grid_dist2(bmu, j), sigma, kernel);
+}
+
+NeighborhoodTable::NeighborhoodTable(const SomGrid& grid, double sigma, Kernel kernel)
+    : from_(grid.cells()), to_(grid.cells()) {
+  MRBIO_CHECK(sigma > 0.0, "neighborhood width must be positive");
+  // Key (dr, parity_c, parity_j, dc) with dr = row_c - row_j in
+  // [-(rows-1), rows-1] and dc = col_c - col_j in [-(cols-1), cols-1],
+  // laid out row-major: ((dr + rows-1) * 2 + parity_c) * 2 + parity_j
+  // selects a row of width 2 cols - 1, dc + cols-1 the column. The index
+  // splits into a BMU part (from_) plus a neuron part (to_).
+  const std::size_t rows = grid.rows;
+  const std::size_t cols = grid.cols;
+  const std::size_t width = 2 * cols - 1;
+  h_.resize(4 * (2 * rows - 1) * width);
+  for (std::size_t r = 0; r < 2 * rows - 1; ++r) {
+    const double dr = static_cast<double>(r) - static_cast<double>(rows - 1);
+    for (std::size_t parity_c = 0; parity_c < 2; ++parity_c) {
+      for (std::size_t parity_j = 0; parity_j < 2; ++parity_j) {
+        double* row = h_.data() + ((r * 2 + parity_c) * 2 + parity_j) * width;
+        for (std::size_t c = 0; c < width; ++c) {
+          const double dc = static_cast<double>(c) - static_cast<double>(cols - 1);
+          row[c] = kernel_value(lattice_dist2(grid, dr, dc, parity_c, parity_j), sigma, kernel);
+        }
+      }
+    }
+  }
+  for (std::size_t cell = 0; cell < grid.cells(); ++cell) {
+    const std::size_t r = grid.row_of(cell);
+    const std::size_t c = grid.col_of(cell);
+    from_[cell] = (r * 4 + (r % 2) * 2) * width + c;
+    to_[cell] = ((rows - 1 - r) * 4 + r % 2) * width + (cols - 1 - c);
+  }
 }
 
 double sigma_at(const SomParams& params, const SomGrid& grid, std::size_t epoch) {
@@ -202,34 +246,71 @@ double sigma_at(const SomParams& params, const SomGrid& grid, std::size_t epoch)
 }
 
 BatchAccumulator::BatchAccumulator(SomGrid grid, std::size_t dim)
-    : grid_(grid), dim_(dim), num_(grid.cells(), dim), denom_(grid.cells(), 0.0f) {}
+    : grid_(grid), dim_(dim), sums_(grid.cells(), dim), counts_(grid.cells(), 0.0f) {}
+
+BatchAccumulator::BatchAccumulator(SomGrid grid, std::size_t dim, double sigma, Kernel kernel)
+    : BatchAccumulator(grid, dim) {
+  bind(sigma, kernel);
+}
+
+void BatchAccumulator::bind(double sigma, Kernel kernel) {
+  MRBIO_CHECK(sigma > 0.0, "neighborhood width must be positive");
+  if (sigma_ == 0.0) {
+    sigma_ = sigma;
+    kernel_ = kernel;
+    return;
+  }
+  MRBIO_CHECK(sigma == sigma_ && kernel == kernel_, "BatchAccumulator bound to sigma ", sigma_,
+              " kernel ", static_cast<int>(kernel_), ", got sigma ", sigma, " kernel ",
+              static_cast<int>(kernel));
+}
 
 double BatchAccumulator::add(const Codebook& cb, std::span<const float> x, double sigma,
                              Kernel kernel) {
+  MRBIO_CHECK(x.size() == dim_, "BatchAccumulator input dimension mismatch");
+  bind(sigma, kernel);
   const std::size_t bmu = find_bmu(cb, x);
   const double qerr = dist2(x, cb.vector(bmu));
-  const simd::Kernels& kern = simd::kernels();
-  for (std::size_t j = 0; j < grid_.cells(); ++j) {
-    const double h = neighborhood(grid_, bmu, j, sigma, kernel);
-    kern.scaled_accum_f32(num_.row(j).data(), x.data(), dim_, h);
-    denom_[j] += static_cast<float>(h);
-  }
+  simd::kernels().add_f32(sums_.row(bmu).data(), x.data(), dim_);
+  counts_[bmu] += 1.0f;
   return qerr;
 }
 
 void BatchAccumulator::merge(const BatchAccumulator& other) {
-  MRBIO_CHECK(num_.size() == other.num_.size() && denom_.size() == other.denom_.size(),
+  MRBIO_CHECK(sums_.size() == other.sums_.size() && counts_.size() == other.counts_.size(),
               "BatchAccumulator shape mismatch");
+  if (other.sigma_ > 0.0) bind(other.sigma_, other.kernel_);
   const simd::Kernels& kern = simd::kernels();
-  kern.add_f32(num_.data(), other.num_.data(), num_.size());
-  kern.add_f32(denom_.data(), other.denom_.data(), denom_.size());
+  kern.add_f32(sums_.data(), other.sums_.data(), sums_.size());
+  kern.add_f32(counts_.data(), other.counts_.data(), counts_.size());
 }
 
 void BatchAccumulator::apply(Codebook& cb) const {
+  MRBIO_CHECK(cb.grid().cells() == grid_.cells() && cb.dim() == dim_,
+              "BatchAccumulator shape does not match the codebook");
+  std::vector<std::size_t> active;
+  for (std::size_t c = 0; c < grid_.cells(); ++c) {
+    if (counts_[c] > 0.0f) active.push_back(c);
+  }
+  if (active.empty()) return;
+  MRBIO_CHECK(sigma_ > 0.0, "BatchAccumulator::apply on sums with no sigma bound");
+  const NeighborhoodTable h(grid_, sigma_, kernel_);
   const simd::Kernels& kern = simd::kernels();
+  std::vector<float> num(dim_);
   for (std::size_t j = 0; j < grid_.cells(); ++j) {
-    if (denom_[j] <= 0.0f) continue;
-    kern.scale_assign_f32(cb.vector(j).data(), num_.row(j).data(), dim_, denom_[j]);
+    std::fill(num.begin(), num.end(), 0.0f);
+    float den = 0.0f;
+    for (const std::size_t c : active) {
+      const double hcj = h(c, j);
+      // An exact zero h adds only signed zeros, which change neither sum
+      // (both start at +0, and v + -0 == v), so skipping it is exact.
+      if (hcj == 0.0) continue;
+      kern.scaled_accum_f32(num.data(), sums_.data() + c * dim_, dim_, hcj);
+      // Summed in float, as scaled_accum_f32 sums the numerator.
+      den += static_cast<float>(hcj * static_cast<double>(counts_[c]));
+    }
+    if (den <= 0.0f) continue;
+    kern.scale_assign_f32(cb.vector(j).data(), num.data(), dim_, den);
   }
 }
 
@@ -238,7 +319,7 @@ void train_batch(Codebook& cb, const MatrixView& data, const SomParams& params,
   MRBIO_REQUIRE(data.cols() == cb.dim(), "data dimension mismatch");
   for (std::size_t epoch = 0; epoch < params.epochs; ++epoch) {
     const double sigma = sigma_at(params, cb.grid(), epoch);
-    BatchAccumulator acc(cb.grid(), cb.dim());
+    BatchAccumulator acc(cb.grid(), cb.dim(), sigma, params.kernel);
     double qerr = 0.0;
     for (std::size_t r = 0; r < data.rows(); ++r) {
       qerr += acc.add(cb, data.row(r), sigma, params.kernel);

@@ -4,11 +4,13 @@
 //
 // A map is a rows x cols grid of neurons, each carrying an n-dimensional
 // weight vector ("code-vector"); the full weight matrix is the codebook.
-// Batch training accumulates, for every neuron j, the numerator
-// sum_t h_{b(t) j} x(t) and denominator sum_t h_{b(t) j} over an epoch
-// (b(t) = BMU of input t) and replaces the codebook at the epoch end --
-// exactly the two arrays the paper's map() tasks accumulate and
-// MPI_Reduce() sums.
+// Batch training replaces neuron j's weights at the epoch end by the
+// numerator sum_t h_{b(t) j} x(t) over the denominator sum_t h_{b(t) j}
+// (b(t) = BMU of input t). Both sums factor through the BMU: they equal
+// sum_c h_{cj} S_c and sum_c h_{cj} n_c, where S_c is the sum of the
+// inputs whose BMU is c and n_c is their count. So the paper's map()
+// tasks accumulate S and n (in-mapper combining), MPI_Reduce() sums them,
+// and the master applies the neighbourhood once per epoch.
 #pragma once
 
 #include <cstdint>
@@ -104,35 +106,65 @@ struct SomParams {
 /// sigma(t) for epoch t of `epochs` (exponential decay start -> end).
 double sigma_at(const SomParams& params, const SomGrid& grid, std::size_t epoch);
 
-/// Per-neuron accumulators of Eq. 5 for one epoch. add() may be called
-/// from disjoint data shards and merged, which is exactly the parallel
-/// decomposition of the paper's Fig. 2.
+/// h_{cj} for every cell pair of one grid at one (sigma, kernel).
+/// grid_dist2(c, j) depends only on (row_c - row_j, row_c mod 2,
+/// row_j mod 2, col_c - col_j) in every topology, so the table evaluates
+/// the kernel once per such key, 4 (2 rows - 1)(2 cols - 1) values, and
+/// each entry equals neighborhood(grid, c, j, sigma, kernel) bit for bit.
+class NeighborhoodTable {
+ public:
+  NeighborhoodTable(const SomGrid& grid, double sigma, Kernel kernel);
+
+  /// h_{cj} with c the BMU and j the updated neuron.
+  double operator()(std::size_t c, std::size_t j) const { return h_[from_[c] + to_[j]]; }
+
+ private:
+  std::vector<double> h_;          ///< one value per key
+  std::vector<std::size_t> from_;  ///< key offset of each cell as the BMU
+  std::vector<std::size_t> to_;    ///< key offset of each cell as the neuron
+};
+
+/// Per-BMU sums of one epoch of Eq. 5: S_c, the sum of the inputs whose BMU
+/// is c, and n_c, their count. add() may be called from disjoint data
+/// shards and merged, which is exactly the parallel decomposition of the
+/// paper's Fig. 2. An accumulator is bound to one (sigma, kernel): by the
+/// four-argument constructor, or by the first add() for the two-argument
+/// one; an add() or merge() with another pair is a CHECK failure.
 class BatchAccumulator {
  public:
   BatchAccumulator(SomGrid grid, std::size_t dim);
+  BatchAccumulator(SomGrid grid, std::size_t dim, double sigma, Kernel kernel);
 
-  /// Accumulates one input vector with the given neighbourhood width.
+  /// Adds one input into its BMU's sum and count; no neighbourhood work.
   /// Returns the BMU's squared distance (for quantization-error tracking).
   double add(const Codebook& cb, std::span<const float> x, double sigma,
              Kernel kernel = Kernel::Gaussian);
 
-  /// Element-wise merge of another shard's accumulators.
+  /// Element-wise merge of another shard's sums and counts.
   void merge(const BatchAccumulator& other);
 
-  /// Applies Eq. 5, writing new weights into `cb`. Neurons with zero
-  /// denominator keep their previous weights.
+  /// Applies Eq. 5, writing new weights into `cb`: neuron j gets
+  /// sum_c h_{cj} S_c / sum_c h_{cj} n_c, summed over the cells with
+  /// n_c > 0 in ascending c order, h from a NeighborhoodTable built here
+  /// (once per epoch). Neurons with zero denominator keep their weights.
   void apply(Codebook& cb) const;
 
-  std::span<const float> numerator() const { return {num_.data(), num_.size()}; }
-  std::span<const float> denominator() const { return denom_; }
-  std::span<float> numerator() { return {num_.data(), num_.size()}; }
-  std::span<float> denominator() { return denom_; }
+  /// S (cells x dim, row-major) and n (cells; floats, so the pair is the
+  /// cells x dim + cells float payload of the reduce).
+  std::span<const float> bmu_sums() const { return {sums_.data(), sums_.size()}; }
+  std::span<const float> bmu_counts() const { return counts_; }
+  std::span<float> bmu_sums() { return {sums_.data(), sums_.size()}; }
+  std::span<float> bmu_counts() { return counts_; }
 
  private:
+  void bind(double sigma, Kernel kernel);
+
   SomGrid grid_;
   std::size_t dim_;
-  Matrix num_;                ///< cells x dim
-  std::vector<float> denom_;  ///< cells
+  double sigma_ = 0.0;  ///< 0 until bound
+  Kernel kernel_ = Kernel::Gaussian;
+  Matrix sums_;                ///< S: cells x dim
+  std::vector<float> counts_;  ///< n: cells
 };
 
 /// Progress callback: (epoch, sigma, mean quantization error).

@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <set>
+#include <string>
+
 #include "sim/engine.hpp"
+#include "trace/trace.hpp"
 
 namespace mrbio::mrsom {
 namespace {
@@ -146,6 +151,148 @@ TEST(MrSom, EpochCallbackFiresOnMaster) {
   train_parallel(3, data.view(), initial, config);
   ASSERT_EQ(qerrs.size(), 4u);
   EXPECT_LT(qerrs.back(), qerrs.front());
+}
+
+TEST(MrSom, MasterChargesTheEq5UpdatePerActiveBmu) {
+  // The map's virtual charge prices each input's BMU scan; rank 0 prices
+  // the per-epoch neighbourhood update: dim x cells x active BMU cells.
+  Rng rng(63);
+  const Matrix data = random_data(rng, 90, 5);
+  som::Codebook initial(som::SomGrid{4, 5}, 5);
+  initial.init_random(rng);
+  std::set<std::size_t> bmus;
+  for (std::size_t r = 0; r < data.rows(); ++r) bmus.insert(som::find_bmu(initial, data.row(r)));
+
+  ParallelSomConfig config;
+  config.params.epochs = 1;
+  config.block_vectors = 30;
+  config.flop_seconds = 1e-6;
+  trace::Recorder recorder(2, trace::Level::Full);
+  sim::EngineConfig ec;
+  ec.nprocs = 2;
+  ec.recorder = &recorder;
+  sim::Engine engine(ec);
+  engine.run([&](sim::Process& p) {
+    mpi::Comm comm(p);
+    train_som_mr(comm, data.view(), initial, config);
+  });
+  std::size_t spans = 0;
+  for (const trace::Event& e : recorder.rank_events(0)) {
+    if (std::string(e.name) != "codebook_update") continue;
+    ++spans;
+    EXPECT_NEAR(e.t1 - e.t0, 1e-6 * 20.0 * static_cast<double>(bmus.size()) * 5.0, 1e-12);
+  }
+  EXPECT_EQ(spans, 1u);
+}
+
+// ---- the deterministic path's block records ----
+
+TEST(MrSomRecord, BlockValueHoldsOneEntryPerDistinctBmu) {
+  // som_batch's shape: 30x30 map, 64-D inputs, blocks of 40.
+  const std::size_t dim = 64;
+  Rng rng(60);
+  const Matrix data = random_data(rng, 120, dim);
+  som::Codebook cb(som::SomGrid{30, 30}, dim);
+  cb.init_random(rng);
+  for (std::size_t first = 0; first < data.rows(); first += 40) {
+    som::BatchAccumulator block(cb.grid(), dim, 3.0, som::Kernel::Gaussian);
+    std::set<std::size_t> bmus;
+    double qerr = 0.0;
+    for (std::size_t r = first; r < first + 40; ++r) {
+      qerr += block.add(cb, data.row(r), 3.0);
+      bmus.insert(som::find_bmu(cb, data.row(r)));
+    }
+    const std::vector<std::byte> value = encode_block_sums(block, qerr);
+    const std::size_t k = bmus.size();
+    EXPECT_LE(value.size(), 8 + k * (8 + 4 * dim)) << "block at " << first;
+    EXPECT_EQ(value.size(), 8 + k * (8 + 4 * dim)) << "block at " << first;
+    EXPECT_LE(value.size(), 10'568u);  // 8 + 40 (8 + 256): at most one entry per input
+    double stored = 0.0;
+    std::memcpy(&stored, value.data(), sizeof(stored));
+    EXPECT_EQ(stored, qerr);
+  }
+}
+
+TEST(MrSomRecord, DeterministicEpochFoldsBlockRecordsInBlockOrder) {
+  Rng rng(61);
+  const Matrix data = random_data(rng, 130, 6);
+  som::Codebook initial(som::SomGrid{5, 4}, 6);
+  initial.init_random(rng);
+  ParallelSomConfig config;
+  config.params.epochs = 1;
+  config.block_vectors = 20;
+  config.deterministic_reduce = true;
+  const som::Codebook parallel = train_parallel(3, data.view(), initial, config);
+
+  const double sigma = som::sigma_at(config.params, initial.grid(), 0);
+  som::BatchAccumulator total(initial.grid(), 6, sigma, som::Kernel::Gaussian);
+  for (std::uint64_t block = 0; block < 7; ++block) {
+    const std::size_t first = static_cast<std::size_t>(block) * 20;
+    const std::size_t count = std::min<std::size_t>(20, data.rows() - first);
+    som::BatchAccumulator b(initial.grid(), 6, sigma, som::Kernel::Gaussian);
+    double qerr = 0.0;
+    for (std::size_t r = first; r < first + count; ++r) qerr += b.add(initial, data.row(r), sigma);
+    EXPECT_EQ(fold_block_sums(total, encode_block_sums(b, qerr), block, count, 0), qerr);
+  }
+  som::Codebook expected = initial;
+  total.apply(expected);
+  EXPECT_EQ(std::memcmp(parallel.weights().data(), expected.weights().data(),
+                        expected.weights().size() * sizeof(float)),
+            0);
+}
+
+TEST(MrSomRecord, MalformedRecordNamesItsBlockAndEpoch) {
+  const std::size_t dim = 3;
+  Rng rng(62);
+  const Matrix data = random_data(rng, 12, dim);
+  som::Codebook cb(som::SomGrid{3, 3}, dim);
+  cb.init_random(rng);
+  som::BatchAccumulator block(cb.grid(), dim, 1.0, som::Kernel::Gaussian);
+  for (std::size_t r = 0; r < data.rows(); ++r) block.add(cb, data.row(r), 1.0);
+  const std::vector<std::byte> good = encode_block_sums(block, 0.5);
+  const std::size_t entry = 8 + 4 * dim;
+  const std::size_t k = (good.size() - 8) / entry;
+  ASSERT_GE(k, 2u);
+
+  {
+    som::BatchAccumulator total(cb.grid(), dim, 1.0, som::Kernel::Gaussian);
+    EXPECT_EQ(fold_block_sums(total, good, 7, 12, 3), 0.5);
+    float n = 0.0f;
+    for (const float c : total.bmu_counts()) n += c;
+    EXPECT_EQ(n, 12.0f);
+  }
+
+  const auto expect_rejected = [&](const std::vector<std::byte>& record, std::size_t inputs,
+                                   const char* what) {
+    som::BatchAccumulator total(cb.grid(), dim, 1.0, som::Kernel::Gaussian);
+    try {
+      fold_block_sums(total, record, 7, inputs, 3);
+      ADD_FAILURE() << what << ": accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("som block 7 in epoch 3"), std::string::npos)
+          << what << ": " << e.what();
+    }
+    for (const float c : total.bmu_counts()) EXPECT_EQ(c, 0.0f) << what << ": folded in part";
+  };
+  const auto with_u32 = [&](std::size_t offset, std::uint32_t v) {
+    std::vector<std::byte> r = good;
+    std::memcpy(r.data() + offset, &v, sizeof(v));
+    return r;
+  };
+  std::uint32_t cell0 = 0;
+  std::memcpy(&cell0, good.data() + 8, sizeof(cell0));
+
+  expect_rejected({good.begin(), good.end() - 1}, 12, "length");
+  expect_rejected({good.begin(), good.begin() + 4}, 12, "shorter than qerr");
+  expect_rejected(good, k - 1, "more entries than inputs");
+  expect_rejected(with_u32(8 + entry, cell0), 12, "repeated cell");
+  std::vector<std::byte> swapped = good;
+  std::swap_ranges(swapped.begin() + 8, swapped.begin() + 8 + static_cast<std::ptrdiff_t>(entry),
+                   swapped.begin() + 8 + static_cast<std::ptrdiff_t>(entry));
+  expect_rejected(swapped, 12, "descending cells");
+  expect_rejected(with_u32(8 + (k - 1) * entry, 9), 12, "cell out of range");
+  expect_rejected(with_u32(8 + 4, 0), 12, "zero count");
+  expect_rejected(good, 13, "counts do not sum to the inputs");
 }
 
 // ---- simulated driver ----

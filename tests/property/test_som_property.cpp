@@ -1,8 +1,9 @@
 // Property tests for the SOM batch equation against an independent
-// brute-force implementation of Eq. 5.
+// brute-force implementation of Eq. 5, on every topology and kernel.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "som/som.hpp"
 
@@ -18,22 +19,23 @@ struct SomCase {
   double sigma;
 };
 
-class BatchEquationP : public ::testing::TestWithParam<SomCase> {};
-
-TEST_P(BatchEquationP, AccumulatorMatchesDirectFormula) {
-  const SomCase c = GetParam();
+/// Runs one epoch through BatchAccumulator and checks every weight
+/// against a direct double-precision evaluation of Eq. 5: brute-force
+/// BMU, h from grid_dist2 and exp (or the bubble's cut-off), and the
+/// per-input sums over every neuron.
+void expect_matches_eq5(const SomCase& c, const SomGrid& grid, Kernel kernel) {
   Rng rng(c.seed);
   Matrix data(c.n, c.dim);
   for (std::size_t r = 0; r < c.n; ++r) {
     for (float& v : data.row(r)) v = static_cast<float>(rng.uniform(-1.0, 1.0));
   }
-  Codebook cb(SomGrid{c.rows, c.cols}, c.dim);
+  Codebook cb(grid, c.dim);
   cb.init_random(rng);
 
   // Production path.
   Codebook updated = cb;
   BatchAccumulator acc(cb.grid(), c.dim);
-  for (std::size_t r = 0; r < c.n; ++r) acc.add(cb, data.row(r), c.sigma);
+  for (std::size_t r = 0; r < c.n; ++r) acc.add(cb, data.row(r), c.sigma, kernel);
   acc.apply(updated);
 
   // Independent direct evaluation of Eq. 5 in double precision.
@@ -57,11 +59,10 @@ TEST_P(BatchEquationP, AccumulatorMatchesDirectFormula) {
       }
     }
     for (std::size_t j = 0; j < cells; ++j) {
-      const double dr = static_cast<double>(cb.grid().row_of(bmu)) -
-                        static_cast<double>(cb.grid().row_of(j));
-      const double dc = static_cast<double>(cb.grid().col_of(bmu)) -
-                        static_cast<double>(cb.grid().col_of(j));
-      const double h = std::exp(-(dr * dr + dc * dc) / (2.0 * c.sigma * c.sigma));
+      const double d2 = cb.grid().grid_dist2(bmu, j);
+      const double h = kernel == Kernel::Bubble
+                           ? (d2 <= c.sigma * c.sigma ? 1.0 : 0.0)
+                           : std::exp(-d2 / (2.0 * c.sigma * c.sigma));
       for (std::size_t i = 0; i < c.dim; ++i) num[j][i] += h * x[i];
       den[j] += h;
     }
@@ -75,11 +76,58 @@ TEST_P(BatchEquationP, AccumulatorMatchesDirectFormula) {
   }
 }
 
+class BatchEquationP : public ::testing::TestWithParam<SomCase> {};
+
+TEST_P(BatchEquationP, AccumulatorMatchesDirectFormula) {
+  expect_matches_eq5(GetParam(), SomGrid{GetParam().rows, GetParam().cols}, Kernel::Gaussian);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Cases, BatchEquationP,
     ::testing::Values(SomCase{1, 3, 3, 2, 20, 1.0}, SomCase{2, 5, 4, 3, 50, 2.0},
                       SomCase{3, 2, 8, 5, 30, 0.5}, SomCase{4, 6, 6, 1, 40, 3.0},
                       SomCase{5, 1, 10, 4, 25, 1.5}, SomCase{6, 7, 7, 8, 60, 2.5}));
+
+/// The same oracle on the other topologies and on the bubble kernel.
+struct GridCase {
+  const char* name;
+  SomCase som;
+  GridTopology topology;
+  bool toroidal;
+  Kernel kernel;
+};
+
+void PrintTo(const GridCase& g, std::ostream* os) { *os << g.name; }
+
+class BatchEquationGridP : public ::testing::TestWithParam<GridCase> {};
+
+TEST_P(BatchEquationGridP, AccumulatorMatchesDirectFormula) {
+  const GridCase& g = GetParam();
+  SomGrid grid{g.som.rows, g.som.cols};
+  grid.topology = g.topology;
+  grid.toroidal = g.toroidal;
+  expect_matches_eq5(g.som, grid, g.kernel);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grids, BatchEquationGridP,
+    ::testing::Values(
+        GridCase{"HexGaussian", {11, 5, 6, 3, 50, 1.5}, GridTopology::Hexagonal, false,
+                 Kernel::Gaussian},
+        GridCase{"HexOddRowsGaussian", {12, 7, 4, 4, 40, 2.5}, GridTopology::Hexagonal, false,
+                 Kernel::Gaussian},
+        GridCase{"TorusGaussian", {13, 6, 5, 3, 45, 2.0}, GridTopology::Rectangular, true,
+                 Kernel::Gaussian},
+        GridCase{"HexTorusGaussian", {14, 6, 6, 2, 60, 1.2}, GridTopology::Hexagonal, true,
+                 Kernel::Gaussian},
+        GridCase{"RectBubble", {15, 5, 5, 3, 40, 1.5}, GridTopology::Rectangular, false,
+                 Kernel::Bubble},
+        GridCase{"HexBubble", {16, 6, 5, 4, 50, 1.1}, GridTopology::Hexagonal, false,
+                 Kernel::Bubble},
+        GridCase{"TorusBubble", {17, 5, 7, 3, 35, 2.0}, GridTopology::Rectangular, true,
+                 Kernel::Bubble},
+        GridCase{"HexTorusBubble", {18, 7, 6, 5, 55, 1.6}, GridTopology::Hexagonal, true,
+                 Kernel::Bubble}));
 
 class UMatrixP : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 
@@ -168,11 +170,11 @@ TEST(BatchAccumulator, ShardedMergeEqualsSerial) {
   for (std::size_t r = 40; r < 80; ++r) shard2.add(cb, data.row(r), sigma);
   shard1.merge(shard2);
 
-  for (std::size_t i = 0; i < serial.numerator().size(); ++i) {
-    EXPECT_NEAR(serial.numerator()[i], shard1.numerator()[i], 1e-3);
+  for (std::size_t i = 0; i < serial.bmu_sums().size(); ++i) {
+    EXPECT_NEAR(serial.bmu_sums()[i], shard1.bmu_sums()[i], 1e-3);
   }
-  for (std::size_t i = 0; i < serial.denominator().size(); ++i) {
-    EXPECT_NEAR(serial.denominator()[i], shard1.denominator()[i], 1e-3);
+  for (std::size_t i = 0; i < serial.bmu_counts().size(); ++i) {
+    EXPECT_NEAR(serial.bmu_counts()[i], shard1.bmu_counts()[i], 1e-3);
   }
 }
 
@@ -182,6 +184,94 @@ TEST(BatchAccumulator, ZeroDenominatorKeepsWeights) {
   const BatchAccumulator acc(cb.grid(), 2);  // nothing added
   acc.apply(cb);
   EXPECT_FLOAT_EQ(cb.vector(3)[0], 42.0f);
+}
+
+TEST(BatchAccumulator, SumsEachInputIntoItsBmuOnly) {
+  Rng rng(6);
+  Matrix data = cluster_data(rng, 15, {{0, 0, 0}, {1, 1, 1}}, 0.3f);
+  Codebook cb(SomGrid{4, 4}, 3);
+  cb.init_random(rng);
+  BatchAccumulator acc(cb.grid(), 3, 1.5, Kernel::Gaussian);
+  std::vector<double> want_sum(16 * 3, 0.0);
+  std::vector<float> want_count(16, 0.0f);
+  for (std::size_t r = 0; r < data.rows(); ++r) {
+    const auto x = data.row(r);
+    const std::size_t bmu = find_bmu(cb, x);
+    EXPECT_EQ(acc.add(cb, x, 1.5, Kernel::Gaussian), dist2(x, cb.vector(bmu)));
+    for (std::size_t i = 0; i < 3; ++i) want_sum[bmu * 3 + i] += x[i];
+    want_count[bmu] += 1.0f;
+  }
+  for (std::size_t c = 0; c < 16; ++c) {
+    EXPECT_EQ(acc.bmu_counts()[c], want_count[c]) << "cell " << c;
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_NEAR(acc.bmu_sums()[c * 3 + i], want_sum[c * 3 + i], 1e-4) << "cell " << c;
+    }
+  }
+}
+
+TEST(BatchAccumulator, BoundToOneSigmaAndKernel) {
+  Codebook cb(SomGrid{3, 3}, 2);
+  Rng rng(7);
+  cb.init_random(rng);
+  const float x[2] = {0.25f, 0.75f};
+
+  // Two-argument form: the first add() binds the pair.
+  BatchAccumulator first(cb.grid(), 2);
+  first.add(cb, x, 1.0);
+  first.add(cb, x, 1.0, Kernel::Gaussian);
+  EXPECT_THROW(first.add(cb, x, 2.0), LogicError);
+  EXPECT_THROW(first.add(cb, x, 1.0, Kernel::Bubble), LogicError);
+
+  // Four-argument form: bound from the start.
+  BatchAccumulator bubble(cb.grid(), 2, 1.0, Kernel::Bubble);
+  EXPECT_THROW(bubble.add(cb, x, 1.0, Kernel::Gaussian), LogicError);
+  EXPECT_THROW(first.merge(bubble), LogicError);
+  EXPECT_THROW(BatchAccumulator(cb.grid(), 2, 0.0, Kernel::Gaussian), LogicError);
+
+  // Same pair merges; an empty unbound shard merges into anything, and an
+  // unbound accumulator takes the pair of the shard merged into it.
+  BatchAccumulator same(cb.grid(), 2, 1.0, Kernel::Gaussian);
+  same.add(cb, x, 1.0);
+  first.merge(same);
+  first.merge(BatchAccumulator(cb.grid(), 2));
+  EXPECT_EQ(first.bmu_counts()[find_bmu(cb, x)], 3.0f);
+  BatchAccumulator unbound(cb.grid(), 2);
+  unbound.merge(bubble);
+  EXPECT_THROW(unbound.add(cb, x, 1.0, Kernel::Gaussian), LogicError);
+}
+
+TEST(NeighborhoodTable, MatchesNeighborhoodBitForBit) {
+  // Odd and even row counts, every topology, wrapped and not: the table's
+  // key must keep both row parities (hexagonal offsets) and the signed
+  // deltas (toroidal wrap), or some pair below differs.
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes = {{5, 7}, {6, 4}, {1, 6}};
+  std::vector<SomGrid> grids;
+  for (const auto& [rows, cols] : shapes) {
+    for (const GridTopology topo : {GridTopology::Rectangular, GridTopology::Hexagonal}) {
+      for (const bool toroidal : {false, true}) {
+        SomGrid g{rows, cols};
+        g.topology = topo;
+        g.toroidal = toroidal;
+        grids.push_back(g);
+      }
+    }
+  }
+  for (const SomGrid& g : grids) {
+    for (const Kernel kernel : {Kernel::Gaussian, Kernel::Bubble}) {
+      for (const double sigma : {0.6, 1.0, 2.3}) {
+        const NeighborhoodTable table(g, sigma, kernel);
+        for (std::size_t c = 0; c < g.cells(); ++c) {
+          for (std::size_t j = 0; j < g.cells(); ++j) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(table(c, j)),
+                      std::bit_cast<std::uint64_t>(neighborhood(g, c, j, sigma, kernel)))
+                << g.rows << "x" << g.cols << " topology " << static_cast<int>(g.topology)
+                << " toroidal " << g.toroidal << " kernel " << static_cast<int>(kernel)
+                << " sigma " << sigma << " c " << c << " j " << j;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(TrainBatch, ReducesQuantizationError) {

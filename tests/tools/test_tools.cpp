@@ -8,6 +8,8 @@
 #include <fstream>
 #include <map>
 
+#include <sys/wait.h>
+
 #include "blast/sequence.hpp"
 #include "common/mmap_file.hpp"
 #include "som/som.hpp"
@@ -260,6 +262,48 @@ TEST_F(ToolsTest, SomTrainerOnFastaTetra) {
             0);
   const som::Codebook cb = som::load_codebook(path("tsom.cb"));
   EXPECT_EQ(cb.dim(), 256u);
+}
+
+TEST_F(ToolsTest, SomResumeRefusesCheckpointWithOtherBlockRecords) {
+  // A checkpoint dir whose MANIFEST lacks this build's block-record token
+  // (as one written before the per-BMU records would) holds map logs in
+  // another format: --resume must refuse it, not misparse them.
+  Rng rng(16);
+  Matrix data(96, 4);
+  for (std::size_t r = 0; r < data.rows(); ++r) {
+    for (float& v : data.row(r)) v = static_cast<float>(rng.uniform());
+  }
+  write_raw_matrix(path("data.raw"), data.view());
+  const std::string train = tool("mrsom_train") + " --matrix " + path("data.raw") +
+                            " --dim 4 --rows 4 --cols 4 --epochs 3 --block 8 --ranks 3" +
+                            " --deterministic --planes 0";
+  ASSERT_EQ(run(train + " --out " + path("clean")), 0) << stderr_text();
+  const std::string ckpt = train + " --checkpoint-dir " + path("ckpt") +
+                           " --checkpoint-interval 0 --out " + path("resumed");
+  const int killed = run(ckpt + " --faults kill:t=0");
+  ASSERT_TRUE(WIFEXITED(killed) && WEXITSTATUS(killed) == 3) << stderr_text();
+
+  const fs::path manifest = fs::path(path("ckpt")) / "MANIFEST";
+  const std::string current = slurp(manifest);
+  const std::size_t token = current.find(" records=");
+  ASSERT_NE(token, std::string::npos) << current;
+  const std::size_t eol = current.find('\n', token);
+  ASSERT_NE(eol, std::string::npos);
+  {
+    std::ofstream out(manifest, std::ios::binary | std::ios::trunc);
+    out << current.substr(0, token) << current.substr(eol);
+  }
+  EXPECT_NE(run(ckpt + " --resume"), 0);
+  EXPECT_NE(stderr_text().find("different run configuration"), std::string::npos)
+      << stderr_text();
+
+  // The same directory with this build's MANIFEST resumes to the clean bytes.
+  {
+    std::ofstream out(manifest, std::ios::binary | std::ios::trunc);
+    out << current;
+  }
+  ASSERT_EQ(run(ckpt + " --resume"), 0) << stderr_text();
+  EXPECT_EQ(slurp(path("resumed.cb")), slurp(path("clean.cb")));
 }
 
 TEST_F(ToolsTest, CodebookRoundTrip) {

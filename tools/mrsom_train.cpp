@@ -202,8 +202,9 @@ int main(int argc, char** argv) {
         lc.master_failover = config.scheduler == sched::Policy::Steal;
       }
     }
-    // Fingerprint: a checkpoint dir is bound to one training configuration;
-    // resuming with different inputs or hyper-parameters is rejected.
+    // Fingerprint: a checkpoint dir is bound to one training configuration
+    // and one block record format; resuming with different inputs,
+    // hyper-parameters or map-log records is rejected.
     ckpt::CheckpointConfig ckpt_config;
     ckpt_config.dir = opts.str("checkpoint-dir");
     ckpt_config.interval = opts.real("checkpoint-interval");
@@ -221,7 +222,8 @@ int main(int argc, char** argv) {
          << " ranks=" << lc.nranks << " style=" << opts.str("style")
          << " scheduler=" << sched::policy_name(config.scheduler)
          << " deterministic=" << config.deterministic_reduce
-         << " init=" << opts.str("init") << " seed=" << opts.integer("seed");
+         << " init=" << opts.str("init") << " seed=" << opts.integer("seed")
+         << " records=" << mrsom::kBlockRecordFormat;
       checkpointer.open(fp.str());
       config.checkpointer = &checkpointer;
       lc.checkpointing = true;
