@@ -25,6 +25,7 @@ struct PolicyRun {
   std::uint64_t steals_attempted = 0;
   std::uint64_t steals_succeeded = 0;
   std::uint64_t tasks_stolen = 0;
+  std::uint64_t token_rounds = 0;  ///< termination-token rounds rank 0 launched
 
   double grants_per_second() const {
     return elapsed > 0.0 ? static_cast<double>(grants) / elapsed : 0.0;
@@ -67,6 +68,9 @@ PolicyRun run_policy(sched::Policy policy, int cores,
   }
   if (const obs::Counter* c = registry.find_counter("sched.tasks_stolen")) {
     out.tasks_stolen = c->value();
+  }
+  if (const obs::Counter* c = registry.find_counter("sched.token_rounds")) {
+    out.token_rounds = c->value();
   }
   return out;
 }
@@ -153,7 +157,7 @@ int main(int argc, char** argv) {
       "%.0f ms units, RAM-resident DB (wall s) ===\n",
       static_cast<unsigned long long>(xover_queries), xover_cost * 1e3);
   bench::print_row({"ranks", "master", "steal", "grants/s", "p99 us", "steals/s",
-                    "stolen", "winner"},
+                    "stolen", "tokens", "winner"},
                    11);
   const auto fine = fine_workload(xover_queries, xover_cost);
   int crossover = 0;
@@ -166,7 +170,8 @@ int main(int argc, char** argv) {
     bench::print_row({std::to_string(ranks), bench::fmt(m.elapsed, 3),
                       bench::fmt(w.elapsed, 3), bench::fmt(m.grants_per_second(), 0),
                       bench::fmt(m.service_p99 * 1e6, 1), bench::fmt(w.steals_per_second(), 0),
-                      std::to_string(w.tasks_stolen), steal_wins ? "steal" : "master"},
+                      std::to_string(w.tasks_stolen), std::to_string(w.token_rounds),
+                      steal_wins ? "steal" : "master"},
                      11);
   }
   if (crossover > 0) {

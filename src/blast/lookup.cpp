@@ -8,11 +8,15 @@
 
 namespace mrbio::blast {
 
-NucLookup::NucLookup(std::span<const std::uint8_t> concat, int word_size)
-    : word_size_(word_size) {
+NucLookup::NucLookup(std::span<const std::uint8_t> concat, int word_size) {
+  rebuild(concat, word_size);
+}
+
+void NucLookup::rebuild(std::span<const std::uint8_t> concat, int word_size) {
   MRBIO_REQUIRE(word_size >= kMinWord && word_size <= kMaxWord,
                 "nucleotide word size must be in [", kMinWord, ", ", kMaxWord, "], got ",
                 word_size);
+  word_size_ = word_size;
   const std::size_t nwords = std::size_t{1} << (2 * word_size);
   const std::uint32_t mask = static_cast<std::uint32_t>(nwords - 1);
   const simd::Kernels& kern = simd::kernels();
@@ -29,10 +33,10 @@ NucLookup::NucLookup(std::span<const std::uint8_t> concat, int word_size)
   std::uint64_t valid = 0;
   std::uint32_t word = 0;
   std::uint64_t hist = 0;
-  std::vector<std::uint32_t> words;    // word of each indexed window
-  std::vector<std::uint32_t> offsets;  // its first base
-  words.reserve(concat.size());
-  offsets.reserve(concat.size());
+  words_.clear();
+  offsets_.clear();
+  words_.reserve(concat.size());
+  offsets_.reserve(concat.size());
   presence_.assign(nwords / 64, 0);
   for (std::size_t base = 0; base < concat.size(); base += kBlock) {
     const std::size_t m = std::min(kBlock, concat.size() - base);
@@ -41,8 +45,8 @@ NucLookup::NucLookup(std::span<const std::uint8_t> concat, int word_size)
       const int i = std::countr_zero(valid);
       valid &= valid - 1;
       presence_[codes[i] >> 6] |= std::uint64_t{1} << (codes[i] & 63);
-      words.push_back(codes[i]);
-      offsets.push_back(static_cast<std::uint32_t>(
+      words_.push_back(codes[i]);
+      offsets_.push_back(static_cast<std::uint32_t>(
           base + static_cast<std::size_t>(i) + 1 - static_cast<std::size_t>(word_size)));
     }
   }
@@ -55,16 +59,18 @@ NucLookup::NucLookup(std::span<const std::uint8_t> concat, int word_size)
   }
 
   // Stable counting sort of the offsets by their word's rank; each entry
-  // of `words` is replaced by that rank on the way.
+  // of `words_` is replaced by that rank on the way.
   starts_.assign(std::size_t{present} + 1, 0);
-  for (std::uint32_t& w : words) {
+  for (std::uint32_t& w : words_) {
     w = rank_of(w, presence_[w >> 6]);
     ++starts_[w + 1];
   }
   for (std::uint32_t r = 0; r < present; ++r) starts_[r + 1] += starts_[r];
-  positions_.resize(offsets.size());
-  std::vector<std::uint32_t> cursor(starts_.begin(), starts_.end() - 1);
-  for (std::size_t k = 0; k < words.size(); ++k) positions_[cursor[words[k]]++] = offsets[k];
+  positions_.resize(offsets_.size());
+  cursor_.assign(starts_.begin(), starts_.end() - 1);
+  for (std::size_t k = 0; k < words_.size(); ++k) {
+    positions_[cursor_[words_[k]]++] = offsets_[k];
+  }
 }
 
 ProtLookup::ProtLookup(std::span<const std::uint8_t> concat, int threshold,

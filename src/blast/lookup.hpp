@@ -16,7 +16,9 @@
 // present word's run index is its rank word plus the popcount of the set
 // bits below it. A table costs 4^w/8 + 4^w/16 bytes plus 4 bytes per
 // present word and per indexed offset: no array holds a 32-bit entry per
-// possible word, which keeps the per-map-task build cheap.
+// possible word, which keeps the per-map-task build cheap. rebuild() reuses
+// a table's storage, build scratch included, so a table kept per thread
+// allocates and faults in its pages once, not once per map task.
 //
 // Protein: words of length 3 with BLOSUM62 neighbourhood expansion -- a
 // query word's bucket also receives every word scoring >= threshold T
@@ -40,7 +42,14 @@ class NucLookup {
   static constexpr int kMinWord = 4;
   static constexpr int kMaxWord = 13;
 
+  /// An empty table; rebuild() before the first hits().
+  NucLookup() = default;
+
   NucLookup(std::span<const std::uint8_t> concat_queries, int word_size);
+
+  /// Replaces the table with one over `concat_queries`, reusing the
+  /// storage of the previous build.
+  void rebuild(std::span<const std::uint8_t> concat_queries, int word_size);
 
   int word_size() const { return word_size_; }
 
@@ -63,11 +72,15 @@ class NucLookup {
     return rank_[packed >> 6] + static_cast<std::uint32_t>(std::popcount(bits & below));
   }
 
-  int word_size_;
+  int word_size_ = 0;
   std::vector<std::uint64_t> presence_;   ///< bit per word, 4^w / 64 entries
   std::vector<std::uint32_t> rank_;       ///< set bits before each presence word
   std::vector<std::uint32_t> starts_;     ///< run boundaries, present words + 1
   std::vector<std::uint32_t> positions_;  ///< query offsets grouped by word
+  // Build scratch, kept only so rebuild() reuses it.
+  std::vector<std::uint32_t> words_;      ///< word, then rank, of each window
+  std::vector<std::uint32_t> offsets_;    ///< first base of each window
+  std::vector<std::uint32_t> cursor_;     ///< counting-sort fill positions
 };
 
 /// Protein 3-mer lookup with scored neighbourhood.

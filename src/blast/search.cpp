@@ -5,6 +5,7 @@
 #include <cmath>
 #include <span>
 
+#include "blast/diag_marks.hpp"
 #include "blast/extend.hpp"
 #include "blast/filter.hpp"
 #include "blast/lookup.hpp"
@@ -37,12 +38,12 @@ struct QueryEntry {
   std::size_t len;
 };
 
-/// Per-diagonal bookkeeping, stamped per subject so no clearing is needed
-/// between subjects.
-struct DiagState {
-  std::uint32_t stamp = 0;
-  std::int64_t last_end = -1;  ///< subject offset up to which we extended
-  std::int64_t last_hit = -1;  ///< subject end of the last unextended hit
+/// What one thread's searches reuse: the diagonal marks and the nucleotide
+/// lookup's storage. A map task then neither zero-fills fresh memory for
+/// them nor, once glibc trims the freed chunks, faults their pages in again.
+struct SearchWorkspace {
+  DiagMarks marks;
+  NucLookup nuc;
 };
 
 /// True when a shredded query fragment "parent/123-456" hits its own
@@ -120,10 +121,13 @@ std::vector<QueryResult> BlastSearcher::search(const std::vector<Sequence>& quer
   };
 
   // ---- stage 1 tables ----
-  std::unique_ptr<NucLookup> nuc_lookup;
+  // Safe to share per thread: the call neither yields nor recurses.
+  thread_local SearchWorkspace ws;
+  DiagMarks& marks = ws.marks;
+  const NucLookup& nuc_lookup = ws.nuc;
   std::unique_ptr<ProtLookup> prot_lookup;
   if (dna) {
-    nuc_lookup = std::make_unique<NucLookup>(concat_masked, options_.word_size);
+    ws.nuc.rebuild(concat_masked, options_.word_size);
   } else {
     prot_lookup = std::make_unique<ProtLookup>(concat_masked, options_.threshold, scorer_);
   }
@@ -150,46 +154,35 @@ std::vector<QueryResult> BlastSearcher::search(const std::vector<Sequence>& quer
 
   // ---- scan every subject ----
   std::vector<std::vector<Hsp>> per_query(queries.size());
-  std::size_t max_subject = 0;
-  for (std::size_t si = 0; si < volume_->num_seqs(); ++si) {
-    max_subject = std::max(max_subject, volume_->seq(si).length());
-  }
-  std::vector<DiagState> diags(concat_raw.size() + max_subject + 1);
-  std::uint32_t stamp = 0;
+  const bool two_hit = !dna && options_.two_hit;
 
   for (std::size_t si = 0; si < volume_->num_seqs(); ++si) {
     const Sequence& subject = volume_->seq(si);
     if (subject.length() < word_len) continue;
-    ++stamp;
+    // Diagonal qpos - spos + length - 1 lies below concat + length.
+    marks.begin_subject(concat_raw.size() + subject.length(), subject.length(), two_hit);
     const std::span<const std::uint8_t> sdata(subject.data);
     const std::int64_t diag_off = static_cast<std::int64_t>(subject.length()) - 1;
 
     auto handle_hit = [&](std::size_t qpos, std::size_t spos) {
       ++stats_.word_hits;
-      const std::size_t diag_idx = static_cast<std::size_t>(
+      const std::size_t d = static_cast<std::size_t>(
           static_cast<std::int64_t>(qpos) - static_cast<std::int64_t>(spos) + diag_off);
-      DiagState& d = diags[diag_idx];
-      if (d.stamp != stamp) {
-        d.stamp = stamp;
-        d.last_end = -1;
-        d.last_hit = -1;
-      }
-      const auto s_end_of_hit = static_cast<std::int64_t>(spos + word_len);
-      if (static_cast<std::int64_t>(spos) < d.last_end) return;  // inside a prior HSP
+      if (static_cast<std::int64_t>(spos) < marks.end(d)) return;  // inside a prior HSP
 
-      if (!dna && options_.two_hit) {
+      if (two_hit) {
         // Require a second non-overlapping hit within the window before
         // paying for an extension. A hit overlapping the recorded one is
         // dropped (the recorded hit stays, so a later non-overlapping hit
         // can still pair with it); a hit beyond the window replaces the
         // record and waits for its own partner.
-        const std::int64_t prev_end = d.last_hit;
+        const std::int64_t prev_end = marks.hit(d);
         if (prev_end >= 0 && static_cast<std::int64_t>(spos) < prev_end) {
           return;
         }
         if (prev_end < 0 ||
             static_cast<std::int64_t>(spos) - prev_end > options_.two_hit_window) {
-          d.last_hit = s_end_of_hit;
+          marks.set_hit(d, spos + word_len);
           return;
         }
         // Partner found: fall through to the extension.
@@ -200,7 +193,7 @@ std::vector<QueryResult> BlastSearcher::search(const std::vector<Sequence>& quer
       const UngappedSegment seg =
           extend_ungapped(concat_raw, sdata, qpos, spos, word_len, scorer_,
                           options_.xdrop_ungapped);
-      d.last_end = static_cast<std::int64_t>(seg.s_end);
+      marks.set_end(d, seg.s_end);
       if (seg.score < gap_trigger_raw) return;
 
       ++stats_.gapped_extensions;
@@ -247,7 +240,7 @@ std::vector<QueryResult> BlastSearcher::search(const std::vector<Sequence>& quer
       }
       per_query[entry.query_idx].push_back(std::move(h));
       // Push the diagonal high-water mark past the gapped alignment too.
-      d.last_end = std::max(d.last_end, static_cast<std::int64_t>(aln.s_end));
+      marks.set_end(d, std::max(seg.s_end, aln.s_end));
     };
 
     // Subject word scans run through the dispatched word kernels in
@@ -270,7 +263,7 @@ std::vector<QueryResult> BlastSearcher::search(const std::vector<Sequence>& quer
         while (valid != 0) {
           const int bi = std::countr_zero(valid);
           valid &= valid - 1;
-          for (const std::uint32_t qpos : nuc_lookup->hits(codes[bi])) {
+          for (const std::uint32_t qpos : nuc_lookup.hits(codes[bi])) {
             handle_hit(qpos, base + static_cast<std::size_t>(bi) + 1 - w);
           }
         }

@@ -269,7 +269,8 @@ RealRunResult run_blast_mr(mpi::Comm& comm, const RealRunConfig& config) {
     } else {
       mr.map(units, map_fn);
     }
-    if (comm.rank() == 0) result.failed_tasks += mr.failed_tasks().size();
+    // Every rank counts: steal-ft records a failure on its shard's owner.
+    result.failed_tasks += mr.failed_tasks().size();
 
     // collate(), with a key sort in between: master-worker scheduling on the
     // native backend assigns tasks in arrival order, so aggregated pairs
@@ -423,7 +424,7 @@ BlastxRunResult run_blastx_mr(mpi::Comm& comm, const BlastxRunConfig& config) {
     }
   });
 
-  if (comm.rank() == 0) result.failed_tasks = mr.failed_tasks().size();
+  result.failed_tasks = mr.failed_tasks().size();
 
   // As in run_blast_mr: sorted keys + canonical value order make the
   // output independent of the backend's task-assignment order.
@@ -548,7 +549,7 @@ SimRunStats run_blast_sim(mpi::Comm& comm, const SimRunConfig& config) {
     } else {
       mr.map(units, map_fn);
     }
-    if (comm.rank() == 0) stats.failed_tasks += mr.failed_tasks().size();
+    stats.failed_tasks += mr.failed_tasks().size();
 
     mr.collate();
 

@@ -257,7 +257,12 @@ sched::Policy MapReduce::resolve_policy() const {
   switch (config_.map_style) {
     case MapStyle::Chunk: return sched::Policy::Chunk;
     case MapStyle::Stride: return sched::Policy::Stride;
-    case MapStyle::MasterWorker: return sched::Policy::Master;
+    case MapStyle::MasterWorker:
+      // Rank 0 only grants under master-worker: 0.1% of the paper's 1,024
+      // DES cores, but a real core's share of a native run. Steal keeps
+      // every native rank searching and picks its ledger from ft.enabled,
+      // as the master does; the DES keeps the paper's protocol.
+      return comm_.runtime().native() ? sched::Policy::Steal : sched::Policy::Master;
   }
   return sched::Policy::Master;
 }
@@ -531,12 +536,34 @@ namespace {
 
 /// Scales a nominal byte count by real_after / real_before using 128-bit
 /// intermediate math, so paper-scale nominals shrink by exactly the
-/// measured framing/compression ratio without overflow.
+/// measured framing/compression ratio without overflow. The product is
+/// formed from 32-bit limbs and divided bit by bit (standard C++ has no
+/// 128-bit integer); the result is the low 64 bits of the exact quotient.
 std::uint64_t scale_nominal(std::uint64_t nominal, std::uint64_t real_after,
                             std::uint64_t real_before) {
   if (real_before == 0 || nominal == 0) return nominal;
-  return static_cast<std::uint64_t>(
-      (static_cast<unsigned __int128>(nominal) * real_after) / real_before);
+  constexpr std::uint64_t kLow = 0xffffffffULL;
+  const std::uint64_t ll = (nominal & kLow) * (real_after & kLow);
+  const std::uint64_t lh = (nominal & kLow) * (real_after >> 32);
+  const std::uint64_t hl = (nominal >> 32) * (real_after & kLow);
+  const std::uint64_t hh = (nominal >> 32) * (real_after >> 32);
+  const std::uint64_t mid = (ll >> 32) + (lh & kLow) + (hl & kLow);
+  const std::uint64_t lo = (ll & kLow) | (mid << 32);
+  const std::uint64_t hi = hh + (lh >> 32) + (hl >> 32) + (mid >> 32);
+  if (hi == 0) return lo / real_before;
+  std::uint64_t quotient = 0;
+  std::uint64_t rem = 0;
+  for (int bit = 127; bit >= 0; --bit) {
+    const bool carry = (rem >> 63) != 0;
+    const std::uint64_t next = bit >= 64 ? (hi >> (bit - 64)) & 1 : (lo >> bit) & 1;
+    rem = (rem << 1) | next;
+    quotient <<= 1;
+    if (carry || rem >= real_before) {
+      rem -= real_before;
+      quotient |= 1;
+    }
+  }
+  return quotient;
 }
 
 }  // namespace

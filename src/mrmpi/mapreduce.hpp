@@ -92,21 +92,23 @@ struct ShuffleConfig {
 struct MapReduceConfig {
   MapStyle map_style = MapStyle::MasterWorker;
   /// Scheduling policy of map()/map_locality(). Auto (the default) derives
-  /// the policy from map_style — Chunk/Stride map to their static
-  /// schedulers, MasterWorker to the master policy (upgraded to the
-  /// fault-tolerant ledger when ft.enabled) — so existing configurations
-  /// behave exactly as before. Any other value overrides map_style:
+  /// the policy from map_style and the backend — Chunk/Stride map to their
+  /// static schedulers; MasterWorker maps to the master policy (upgraded to
+  /// the fault-tolerant ledger when ft.enabled) on the DES, and to steal on
+  /// the native backend, where a grant-only rank 0 would idle a real core.
+  /// Any other value overrides map_style on both backends:
   /// sched::Policy::Steal selects decentralized work stealing (per-rank
   /// deques seeded with the chunk partition, randomized victim selection,
-  /// token termination; with ft.enabled rank 0 additionally runs the
-  /// exactly-once ledger and every commit goes through it).
+  /// token termination; with ft.enabled every commit goes through the
+  /// exactly-once ledger, sharded by task range across the ranks).
   sched::Policy scheduler = sched::Policy::Auto;
   /// Work-stealing knobs (batch size, victim-selection seed, idle backoff).
   sched::StealConfig steal;
   /// Shuffle strategy of aggregate()/collate(); defaults reproduce the
   /// classic flat exchange.
   ShuffleConfig shuffle;
-  /// Fault tolerance of the MasterWorker protocol; off by default.
+  /// Fault tolerance of the remote protocols (master-worker and steal);
+  /// off by default.
   FaultToleranceConfig ft;
   /// Per-rank resident budget for KV data, mirroring Sandia's `memsize`.
   /// Nominal bytes beyond this are charged virtual I/O time; the paper
@@ -243,10 +245,12 @@ class MapReduce {
   const MapReduceStats& stats() const { return stats_; }
   mpi::Comm& comm() { return comm_; }
 
-  /// Task ids that exhausted their retry budget in master-worker maps run
-  /// with fault tolerance, in increasing order (meaningful on rank 0).
-  /// Empty on fully successful runs; non-empty means the KV data is a
-  /// partial result.
+  /// Task ids of the last map that exhausted their retry budget under a
+  /// fault-tolerant scheduler and that this rank's ledger recorded: rank 0
+  /// under master-ft, the owner of the task's shard under steal. Sum the
+  /// counts over every rank for the job's total. Empty on fully
+  /// successful runs; non-empty anywhere means the KV data is a partial
+  /// result.
   const std::vector<std::uint64_t>& failed_tasks() const { return failed_tasks_; }
 
  private:
@@ -263,7 +267,7 @@ class MapReduce {
   class ExecImpl;
 
   std::uint64_t run_map(std::uint64_t ntasks, const MapFn& fn, bool append);
-  /// config_.scheduler with Auto resolved from map_style (and ft.enabled).
+  /// config_.scheduler with Auto resolved from map_style and the backend.
   sched::Policy resolve_policy() const;
   /// Builds the sched::MapContext (executor, protocol state, restored
   /// tasks) and runs the selected strategy, merging its stats into stats_.

@@ -316,6 +316,7 @@ class NativeEngine::Impl::RankHandle final : public Rank {
   fault::Injector* faults() const override { return config_.injector; }
   obs::TimeSeries* timeseries() const override { return config_.timeseries; }
   obs::EventLog* eventlog() const override { return config_.eventlog; }
+  bool native() const override { return true; }
 
  private:
   Impl& impl_;

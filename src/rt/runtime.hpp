@@ -169,6 +169,11 @@ class Rank : public Transport, public Clock {
 
   /// The run's structured event log, or null when not enabled.
   virtual obs::EventLog* eventlog() const { return nullptr; }
+
+  /// True when this rank is a thread on a real core (the native engine),
+  /// false on the DES. sched::Policy::Auto reads it: an idle grant loop
+  /// costs the DES nothing but a native core its share of the run.
+  virtual bool native() const { return false; }
 };
 
 }  // namespace mrbio::rt

@@ -34,10 +34,11 @@ class Recorder;
 
 namespace mrbio::sched {
 
-/// Which scheduler runs a map phase. `Auto` defers to the host's legacy
-/// MapStyle so existing configs keep their exact behaviour.
+/// Which scheduler runs a map phase. `Auto` defers to the host's MapStyle,
+/// except that a master-worker style runs as `Steal` on the native backend
+/// (the DES keeps the paper's master-worker protocol).
 enum class Policy {
-  Auto,      ///< derive from MapReduceConfig::map_style
+  Auto,      ///< derive from MapReduceConfig::map_style and the backend
   Chunk,     ///< contiguous static blocks (Sandia mapstyle 0)
   Stride,    ///< task i -> rank i % P (Sandia mapstyle 1)
   Master,    ///< rank 0 grants tasks to idle workers (mapstyle 2)
@@ -80,8 +81,8 @@ struct FtConfig {
   /// Resend interval for lost protocol messages: an unanswered request or
   /// steal is resent, and a parked asker whose owner's wake never came
   /// re-asks, after a jittered worker_poll. The sharded ledger's fault-free
-  /// waits end on their events instead; master-ft still naps this long
-  /// after a retry-later, and plain steal paces its termination token by it.
+  /// waits and plain steal's termination token end on their events instead;
+  /// master-ft still naps this long after a retry-later.
   double worker_poll = 0.05;
   /// Consecutive unanswered request resends before a worker gives up and
   /// fails the run (the master is gone for good).

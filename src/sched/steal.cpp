@@ -14,11 +14,17 @@
 // received) and turns black on receiving work; rank 0 circulates a token
 // accumulating the balances and declares termination when a white token
 // returns with a zero global balance while rank 0 itself stayed white.
-// Steal requests, empty responses, and the token itself are control
-// messages — they can never activate a passive rank, so they are neither
-// counted nor blackening, and an idle rank's re-stealing cannot livelock
-// the probe. Every steal-layer message carries the map epoch, so a
-// straggler from map N is recognized and dropped in map N+1.
+// Rank 0 relaunches the token as soon as a round comes back without that
+// proof, and a rank forwards it only from its passive loop: a round never
+// passes a rank that still works, so the work itself paces the rounds (at
+// a few ranks one costs microseconds, at thousands the ring's own latency
+// bounds them) and the end of the last task is seen one round later, with
+// no time constant in between. Steal requests, empty responses, and the
+// token itself are control messages — they can never activate a passive
+// rank, so they are neither counted nor blackening, and an idle rank's
+// re-stealing cannot livelock the probe. Every steal-layer message
+// carries the map epoch, so a straggler from map N is recognized and
+// dropped in map N+1.
 //
 // Fault-tolerant variant: the exactly-once commit ledger is sharded by
 // task range across the ranks (sharded.cpp) — every rank runs its deque
@@ -155,7 +161,6 @@ void run_steal_plain(MapContext& ctx, std::uint32_t epoch) {
   std::uint32_t seq = 0;
   double next_attempt = 0.0;  ///< earliest time for the next steal attempt
   double t_idle = -1.0;       ///< start of the open steal_wait span, if any
-  double next_probe = 0.0;    ///< rank 0: earliest next token launch
 
   auto close_idle = [&] {
     if (t_idle >= 0.0 && rec != nullptr) {
@@ -187,16 +192,16 @@ void run_steal_plain(MapContext& ctx, std::uint32_t epoch) {
         for (int r = 1; r < p; ++r) comm.send_bytes(r, kTagStop, stop);
         return;
       }
-      // Pace token launches: an unthrottled token round-trips in
-      // microseconds of virtual time and would flood the cluster with
-      // probe traffic while ranks still work.
-      if (!probe_out && comm.now() >= next_probe) {
+      // Relaunch the moment the previous round returned unproven. The
+      // token waits at every rank that still works, so rounds cannot
+      // outrun the work.
+      if (!probe_out) {
         StealToken tk;
         tk.epoch = epoch;
         comm.send_bytes(1, kTagToken, pack_token(tk));
         black = false;
         probe_out = true;
-        next_probe = comm.now() + ctx.ft.worker_poll;
+        if (reg != nullptr) reg->counter("sched.token_rounds").inc();
         continue;
       }
     }

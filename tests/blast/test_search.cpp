@@ -5,8 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
+#include <functional>
+#include <limits>
+#include <thread>
 
+#include "blast/diag_marks.hpp"
 #include "common/rng.hpp"
 #include <unistd.h>
 
@@ -502,6 +507,174 @@ TEST(Search, GoldenProteinBlockOutput) {
   EXPECT_EQ(st.ungapped_extensions, 2365u);
   EXPECT_EQ(st.gapped_extensions, 58u);
   EXPECT_EQ(st.hsps_reported, 26u);
+}
+
+// ---------------------------------------------------------------------------
+// Diagonal marks: biased per subject, kept per thread across searches
+
+/// The integer fields of `subject`'s HSPs, one row per HSP, in result order.
+std::vector<std::vector<std::uint64_t>> subject_hsps(const std::vector<QueryResult>& results,
+                                                     const std::string& subject) {
+  std::vector<std::vector<std::uint64_t>> out;
+  for (const QueryResult& qr : results) {
+    for (const Hsp& h : qr.hsps) {
+      if (h.subject_id != subject) continue;
+      out.push_back({h.q_start, h.q_end, h.s_start, h.s_end,
+                     static_cast<std::uint64_t>(h.raw_score), h.minus_strand ? 1u : 0u,
+                     h.ops.size()});
+    }
+  }
+  return out;
+}
+
+/// Searches `query` against a volume of `subjects` and against each
+/// subject alone, with the whole volume's statistics in both, and expects
+/// every subject's HSPs to agree. Subjects 2k and 2k+1 are built to share
+/// diagonal indices: a mark that leaked from one subject into the next
+/// would drop hits of the second. Returns the HSP count per subject.
+std::vector<std::size_t> expect_subjects_independent(const std::vector<Sequence>& subjects,
+                                                     const Sequence& query,
+                                                     SearchOptions opts) {
+  std::uint64_t residues = 0;
+  for (const Sequence& s : subjects) residues += s.length();
+  opts.effective_db_length = residues;
+  opts.effective_db_seqs = subjects.size();
+  const auto together =
+      BlastSearcher(make_volume(subjects, opts.type), opts).search({query});
+  std::vector<std::size_t> counts;
+  for (const Sequence& s : subjects) {
+    const auto alone = BlastSearcher(make_volume({s}, opts.type), opts).search({query});
+    const auto want = subject_hsps(alone, s.id);
+    EXPECT_EQ(subject_hsps(together, s.id), want) << s.id;
+    counts.push_back(want.size());
+  }
+  return counts;
+}
+
+/// `length` random residues with `query[from, from + n)` copied to `at`.
+Sequence planted(Rng& rng, const std::string& id, std::size_t length, SeqType type,
+                 const Sequence& query, std::size_t from, std::size_t n, std::size_t at) {
+  Sequence s = random_sequence(rng, id, length, type);
+  std::copy_n(query.data.begin() + static_cast<std::ptrdiff_t>(from), n,
+              s.data.begin() + static_cast<std::ptrdiff_t>(at));
+  return s;
+}
+
+TEST(Search, DiagonalMarksDoNotLeakIntoTheNextSubjectDna) {
+  // Subject 0 is the query itself: one long HSP whose high-water mark
+  // reaches the subject's end on the main diagonal. Subject 1, of the same
+  // length, starts with the query's first 60 bases, so its early word hits
+  // fall on the same diagonal index, below that mark.
+  Rng rng(2301);
+  Sequence query = random_sequence(rng, "q", 400, SeqType::Dna);
+  std::vector<Sequence> subjects;
+  subjects.push_back(query);
+  subjects.back().id = "s0";
+  subjects.push_back(planted(rng, "s1", 400, SeqType::Dna, query, 0, 60, 0));
+  SearchOptions opts = dna_options();
+  opts.both_strands = false;
+  const auto counts = expect_subjects_independent(subjects, query, opts);
+  EXPECT_GE(counts[0], 1u);
+  EXPECT_GE(counts[1], 1u) << "subject 1 must have a hit for the test to bite";
+}
+
+TEST(Search, DiagonalMarksDoNotLeakIntoTheNextSubjectProteinTwoHit) {
+  // s0/s1 as in the DNA test, for the extension marks. s2/s3 cover the
+  // two-hit marks: s2 holds one lone query word near its end on the main
+  // diagonal, recorded as an unextended hit; s3 starts with the query's
+  // first 50 residues, whose pairs of hits on that diagonal lie below the
+  // lone hit's mark.
+  Rng rng(2302);
+  Sequence query = random_sequence(rng, "q", 300, SeqType::Protein);
+  std::vector<Sequence> subjects;
+  subjects.push_back(query);
+  subjects.back().id = "s0";
+  subjects.push_back(planted(rng, "s1", 300, SeqType::Protein, query, 0, 50, 0));
+  subjects.push_back(planted(rng, "s2", 300, SeqType::Protein, query, 250, 3, 250));
+  subjects.push_back(planted(rng, "s3", 300, SeqType::Protein, query, 0, 50, 0));
+  SearchOptions opts = make_protein_options();
+  opts.filter_low_complexity = false;
+  ASSERT_TRUE(opts.two_hit);
+  const auto counts = expect_subjects_independent(subjects, query, opts);
+  EXPECT_GE(counts[0], 1u);
+  EXPECT_GE(counts[1], 1u);
+  EXPECT_GE(counts[3], 1u);
+}
+
+TEST(Search, DiagonalMarksRezeroBeforeTheBiasPasses32Bits) {
+  // Bases step by length + 1 per subject; a subject whose marks would pass
+  // 2^32 - 1 finds every mark re-zeroed and the bases restarted at 1.
+  const std::uint64_t max = std::numeric_limits<std::uint32_t>::max();
+  DiagMarks marks(max - 6);
+  marks.begin_subject(8, 3, /*two_hit=*/true);  // base max - 6, marks <= max - 3
+  EXPECT_EQ(marks.end(2), -1);
+  marks.set_end(2, 3);
+  marks.set_hit(5, 1);
+  EXPECT_EQ(marks.end(2), 3);
+  EXPECT_EQ(marks.hit(5), 1);
+  marks.begin_subject(8, 2, true);  // base max - 2, marks <= max: no wrap yet
+  EXPECT_EQ(marks.end(2), -1);
+  EXPECT_EQ(marks.hit(5), -1);
+  marks.set_end(4, 2);
+  EXPECT_EQ(marks.end(4), 2);
+  marks.begin_subject(8, 3, true);  // would pass 2^32 - 1: re-zero, base 1
+  for (std::size_t d = 0; d < 8; ++d) {
+    EXPECT_EQ(marks.end(d), -1) << d;
+    EXPECT_EQ(marks.hit(d), -1) << d;
+  }
+  marks.set_end(2, 1);
+  EXPECT_EQ(marks.end(2), 1);
+  marks.begin_subject(16, 5, false);  // base 5; grown marks read stale too
+  EXPECT_EQ(marks.end(2), -1);
+  EXPECT_EQ(marks.end(15), -1);
+}
+
+TEST(Search, ReusedThreadWorkspaceMatchesFreshSearches) {
+  // One thread runs a large DNA block, then a small block of the same
+  // reads (same concat coordinates, so the same diagonals), then a
+  // protein search; each must match the same search on a fresh thread.
+  Rng rng(2303);
+  std::vector<Sequence> genomes;
+  for (int g = 0; g < 3; ++g) {
+    genomes.push_back(random_sequence(rng, "g" + std::to_string(g), 2000, SeqType::Dna));
+  }
+  const auto dna_vol = make_volume(genomes, SeqType::Dna);
+  std::vector<Sequence> copies;
+  for (const Sequence& g : genomes) copies.push_back(mutate(rng, g, g.id, 0.05, SeqType::Dna));
+  const std::vector<Sequence> large = shred(copies, 300, 100);
+  const std::vector<Sequence> small(large.begin(), large.begin() + 3);
+
+  std::vector<Sequence> proteins;
+  for (int p = 0; p < 4; ++p) {
+    proteins.push_back(random_sequence(rng, "p" + std::to_string(p), 300, SeqType::Protein));
+  }
+  const auto prot_vol = make_volume(proteins, SeqType::Protein);
+  std::vector<Sequence> prot_queries;
+  for (const Sequence& p : proteins) {
+    prot_queries.push_back(mutate(rng, p, p.id, 0.2, SeqType::Protein));
+  }
+  SearchOptions prot_opts = make_protein_options();
+  prot_opts.filter_low_complexity = false;
+
+  const BlastSearcher dna(dna_vol, SearchOptions{});
+  const BlastSearcher prot(prot_vol, prot_opts);
+  const std::vector<std::function<std::uint64_t()>> searches = {
+      [&] { return hsp_digest(dna.search(large), true); },
+      [&] { return hsp_digest(dna.search(small), true); },
+      [&] { return hsp_digest(prot.search(prot_queries), true); },
+  };
+  std::vector<std::uint64_t> fresh;
+  for (const auto& search : searches) {
+    std::thread([&] { fresh.push_back(search()); }).join();
+  }
+  std::vector<std::uint64_t> reused;
+  std::thread([&] {
+    for (const auto& search : searches) reused.push_back(search());
+  }).join();
+  EXPECT_EQ(reused, fresh);
+  std::size_t small_hsps = 0;
+  for (const QueryResult& qr : dna.search(small)) small_hsps += qr.hsps.size();
+  EXPECT_GT(small_hsps, 0u) << "the small block must have hits for the test to bite";
 }
 
 TEST(Search, QueryShorterThanWordFindsNothing) {

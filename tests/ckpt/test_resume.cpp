@@ -109,9 +109,10 @@ struct BlastRun {
   std::uint64_t tasks_restored = 0;
 };
 
-BlastRun run_blast(const mrblast::RealRunConfig& config, fault::Injector* injector) {
+BlastRun run_blast(const mrblast::RealRunConfig& config, fault::Injector* injector,
+                   rt::Backend backend = rt::Backend::Sim) {
   rt::LaunchConfig lc;
-  lc.backend = rt::Backend::Sim;
+  lc.backend = backend;
   lc.nranks = kRanks;
   lc.injector = injector;
   lc.checkpointing = config.checkpointer != nullptr;
@@ -254,6 +255,45 @@ TEST_F(ResumeTest, BlastStealSchedulerKillResumeIsByteIdentical) {
   expect_same_hits(path("out_clean"), path("out_resumed"));
   EXPECT_GT(resumed.tasks_restored, 0u) << "kill fired before any task committed";
   EXPECT_LT(resumed.map_tasks, clean.map_tasks);
+}
+
+TEST_F(ResumeTest, BlastNativeAutoKillResumeIsByteIdentical) {
+  // On native ranks auto runs steal, and a checkpoint dir gives it the
+  // sharded ledger's journals: a killed job must resume to the DES
+  // master run's bytes. Wall-clock kill times are not reproducible, so
+  // the kill moves earlier until one fires mid-run.
+  const BlastBed bed = make_blast_bed(path("db"));
+  const BlastRun clean = run_blast(blast_config(bed, path("out_clean")), nullptr);
+  ASSERT_FALSE(clean.killed);
+  const BlastRun probe =
+      run_blast(blast_config(bed, path("out_probe")), nullptr, rt::Backend::Native);
+  ASSERT_FALSE(probe.killed);
+  expect_same_hits(path("out_clean"), path("out_probe"));
+
+  ckpt::CheckpointConfig cc;
+  cc.dir = path("ckpt");
+  cc.interval = 0.0;
+  auto config = blast_config(bed, path("out_resumed"));
+  bool killed = false;
+  for (double frac = 0.5; !killed && frac > 1e-3; frac /= 4) {
+    std::filesystem::remove_all(cc.dir);
+    fault::Injector killer(
+        fault::FaultPlan::parse("kill:t=" + std::to_string(frac * probe.elapsed)));
+    ckpt::Checkpointer cp(cc, &killer);
+    cp.open("blast native auto");
+    config.checkpointer = &cp;
+    killed = run_blast(config, &killer, rt::Backend::Native).killed;
+  }
+  ASSERT_TRUE(killed) << "no kill time landed inside the native run";
+
+  cc.resume = true;
+  ckpt::Checkpointer cp(cc, nullptr);
+  cp.open("blast native auto");
+  ASSERT_TRUE(cp.resuming());
+  config.checkpointer = &cp;
+  const BlastRun resumed = run_blast(config, nullptr, rt::Backend::Native);
+  ASSERT_FALSE(resumed.killed);
+  expect_same_hits(path("out_clean"), path("out_resumed"));
 }
 
 TEST_F(ResumeTest, BlastShardCorruptionDegradesOnlyThatShard) {

@@ -12,6 +12,7 @@
 #include <set>
 #include <sstream>
 
+#include "fault/fault.hpp"
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 #include <unistd.h>
@@ -329,6 +330,47 @@ TEST(MrBlastSim, UtilizationTracksTaperingOff) {
   const double mid = series[series.size() / 2];
   EXPECT_GT(mid, 0.5);
   EXPECT_LT(series.back(), mid);
+}
+
+TEST(MrBlastSim, FailedTasksAreCountedOnEveryShardOwner) {
+  // Steal-ft records a task that exhausted its retries on the owner of
+  // the task's shard, which need not be rank 0, and every rank must see
+  // the job's count. Six units on 3 ranks, one shard per rank; rank 2's
+  // two units take 10 s each. Rank 2's transient crash on its first unit
+  // frees both; rank 0, drained, is granted one with a 0.3 s deadline and
+  // no retries, so the shard's owner fails it, and rank 0's permanent
+  // crash ensures no late completion rescues it.
+  SimRunConfig config;
+  config.workload.total_queries = 24;
+  config.workload.block_sizes = {1, 1, 1, 1, 10, 10};
+  config.workload.db_partitions = 1;
+  config.workload.mean_seconds_per_query = 1.0;
+  config.workload.lognormal_sigma = 0.0;
+  config.workload.outlier_prob = 0.0;
+  config.workload.cold_load_seconds = 0.0;
+  config.workload.warm_load_seconds = 0.0;
+  config.scheduler = sched::Policy::Steal;
+  config.ft.enabled = true;
+  config.ft.max_retries = 0;
+  config.ft.task_timeout = 0.3;
+  fault::Injector injector(
+      fault::FaultPlan::parse("crash:rank=2,task=1; crash:rank=0@t=5,mode=permanent"));
+  injector.plan().validate(3, /*checkpointing=*/false, /*master_failover=*/true);
+  sim::EngineConfig ec;
+  ec.nprocs = 3;
+  ec.stack_bytes = 256 * 1024;
+  ec.injector = &injector;
+  sim::Engine engine(ec);
+  std::vector<std::uint64_t> reported(3, 0);
+  engine.run([&](sim::Process& p) {
+    mpi::Comm comm(p);
+    const SimRunStats st = run_blast_sim(comm, config);
+    reported[static_cast<std::size_t>(p.rank())] = st.failed_tasks;
+  });
+  EXPECT_GE(injector.stats().crashes_fired, 2u);
+  for (std::size_t r = 0; r < reported.size(); ++r) {
+    EXPECT_EQ(reported[r], 1u) << "rank " << r;
+  }
 }
 
 TEST(MrBlastSim, DeterministicElapsed) {

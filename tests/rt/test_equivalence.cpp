@@ -21,6 +21,7 @@
 #include "mrmpi/mapreduce.hpp"
 #include "mrsom/mrsom.hpp"
 #include "rt/backend.hpp"
+#include "sched/sched.hpp"
 #include <unistd.h>
 
 namespace mrbio::rt {
@@ -139,17 +140,25 @@ class BlastEquivalence : public ::testing::Test {
   void TearDown() override { std::filesystem::remove_all(work_); }
 
   /// Runs the full MR BLAST driver and returns the per-rank output files'
-  /// contents, keyed by file name.
-  std::map<std::string, std::string> run(Backend backend, int nranks) {
+  /// contents, keyed by file name. `rank0_tasks`, if set, receives the
+  /// number of map tasks rank 0 ran.
+  std::map<std::string, std::string> run(Backend backend, int nranks,
+                                         sched::Policy policy = sched::Policy::Auto,
+                                         std::uint64_t* rank0_tasks = nullptr) {
     mrblast::RealRunConfig config;
     config.query_blocks = blocks_;
     config.partition_paths = db_.volume_paths;
     config.options.evalue_cutoff = 1e-6;
     config.options.filter_low_complexity = false;
-    config.output_dir = (work_ / (std::string("out_") + backend_name(backend))).string();
+    config.scheduler = policy;
+    config.output_dir = (work_ / (std::string("out_") + backend_name(backend) + "_" +
+                                  sched::policy_name(policy)))
+                            .string();
     std::filesystem::remove_all(config.output_dir);
-    run_backend(backend, nranks,
-                [&](mpi::Comm& comm) { (void)mrblast::run_blast_mr(comm, config); });
+    run_backend(backend, nranks, [&](mpi::Comm& comm) {
+      const mrblast::RealRunResult result = mrblast::run_blast_mr(comm, config);
+      if (comm.rank() == 0 && rank0_tasks != nullptr) *rank0_tasks = result.local_map_tasks;
+    });
     std::map<std::string, std::string> files;
     for (const auto& e : std::filesystem::directory_iterator(config.output_dir)) {
       files[e.path().filename().string()] = slurp(e.path());
@@ -174,6 +183,22 @@ TEST_F(BlastEquivalence, HitFilesByteIdentical) {
     any_hits = any_hits || !content.empty();
   }
   EXPECT_TRUE(any_hits);
+}
+
+TEST_F(BlastEquivalence, AutoPutsRankZeroToWorkOnNativeOnly) {
+  // auto resolves the master-worker style to steal on native ranks, so
+  // rank 0 searches too; the DES keeps the paper's master-worker protocol,
+  // whose rank 0 only grants. Both give the master's hits, byte for byte.
+  std::uint64_t sim_rank0 = 0;
+  std::uint64_t native_rank0 = 0;
+  const auto master = run(Backend::Sim, 3, sched::Policy::Master);
+  const auto sim_auto = run(Backend::Sim, 3, sched::Policy::Auto, &sim_rank0);
+  const auto native_auto = run(Backend::Native, 3, sched::Policy::Auto, &native_rank0);
+  ASSERT_FALSE(master.empty());
+  EXPECT_EQ(sim_rank0, 0u);
+  EXPECT_GT(native_rank0, 0u);
+  EXPECT_EQ(sim_auto, master);
+  EXPECT_EQ(native_auto, master);
 }
 
 // ---------------------------------------------------------------------------

@@ -199,7 +199,9 @@ TEST(ShuffleEquivalence, GraphChecksumIdenticalAcrossBackendsAndModes) {
         EXPECT_EQ(stats.edge_checksum, baseline_checksum) << backend_name(backend);
         EXPECT_EQ(stats.edges, baseline_edges) << backend_name(backend);
       }
-      if (mode.combiner) EXPECT_GT(stats.shuffle_combined_bytes, 0u);
+      if (mode.combiner) {
+        EXPECT_GT(stats.shuffle_combined_bytes, 0u);
+      }
     }
   }
 }

@@ -1,15 +1,20 @@
 // The decentralized work-stealing scheduler: exactly-once execution and
 // token termination across rank counts and edge cases (zero tasks, fewer
-// tasks than ranks, a single task), byte-identical pipeline output against
-// the static and master-worker schedulers, load rebalancing off static
-// stragglers, and — with the ledger backstop enabled — recovery from
-// crashes and lossy protocol traffic, deterministic under a fixed plan.
+// tasks than ranks, a single task), an endgame that ends one token round
+// after the last task on both backends, byte-identical pipeline output
+// against the static and master-worker schedulers, load rebalancing off
+// static stragglers, and — with the ledger backstop enabled — recovery
+// from crashes and lossy protocol traffic, deterministic under a fixed
+// plan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <map>
 #include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -17,6 +22,7 @@
 #include "fault/fault.hpp"
 #include "mpi/comm.hpp"
 #include "mrmpi/mapreduce.hpp"
+#include "obs/metrics.hpp"
 #include "rt/backend.hpp"
 #include "sched/sched.hpp"
 #include "sim/engine.hpp"
@@ -199,7 +205,9 @@ TEST(Steal, ConsecutiveMapsAreEpochIsolated) {
     EXPECT_EQ(first.size(), 23u) << "ft=" << ft;
     EXPECT_EQ(second.size(), 31u) << "ft=" << ft;
     for (std::uint64_t t = 0; t < 31; ++t) {
-      if (t < 23) EXPECT_EQ(first.count(t), 1u) << t;
+      if (t < 23) {
+        EXPECT_EQ(first.count(t), 1u) << t;
+      }
       EXPECT_EQ(second.count(t), 1u) << t;
     }
   }
@@ -342,6 +350,71 @@ TEST(StealBackendEquivalence, WordCountMatchesAcrossBackends) {
     EXPECT_FALSE(sim.empty()) << "ft=" << ft;
     EXPECT_EQ(sim, native) << "ft=" << ft;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Endgame: rank 0 relaunches the token on its return, not after a poll
+
+struct EndgameRun {
+  double worst_gap = 0.0;  ///< max over ranks: return from map() - last task end
+  std::uint64_t token_rounds = 0;
+};
+
+/// Plain steal on 3 ranks with 24 tasks. Rank 0's chunk is cheap, so it
+/// turns passive first, launches the token and then steals work: the
+/// first round comes back black and cannot prove termination, and a
+/// poll-paced relaunch would leave a gap of up to one worker_poll after
+/// the last task. On native the tasks sleep for their cost.
+EndgameRun plain_steal_endgame(rt::Backend backend) {
+  constexpr int kRanks = 3;
+  const auto cost = [](std::uint64_t t) { return t < 8 ? 0.0002 : 0.003; };
+  obs::Registry metrics;
+  std::mutex mu;
+  double last_task_end = 0.0;
+  std::vector<double> leave(kRanks, 0.0);
+  rt::LaunchConfig lc;
+  lc.backend = backend;
+  lc.nranks = kRanks;
+  lc.stack_bytes = 512 * 1024;
+  lc.metrics = &metrics;
+  rt::launch(lc, [&](rt::Rank& rank) {
+    mpi::Comm comm(rank);
+    MapReduceConfig cfg;
+    cfg.scheduler = sched::Policy::Steal;
+    MapReduce mr(comm, cfg);
+    mr.map(24, [&](std::uint64_t t, KeyValue& kv) {
+      if (backend == rt::Backend::Native) {
+        std::this_thread::sleep_for(std::chrono::duration<double>(cost(t)));
+      } else {
+        comm.compute(cost(t));
+      }
+      kv.add("task", std::to_string(t));
+      std::lock_guard<std::mutex> lock(mu);
+      last_task_end = std::max(last_task_end, comm.now());
+    });
+    std::lock_guard<std::mutex> lock(mu);
+    leave[static_cast<std::size_t>(comm.rank())] = comm.now();
+  });
+  EndgameRun out;
+  for (const double t : leave) out.worst_gap = std::max(out.worst_gap, t - last_task_end);
+  if (const obs::Counter* c = metrics.find_counter("sched.token_rounds")) {
+    out.token_rounds = c->value();
+  }
+  return out;
+}
+
+TEST(Steal, PlainEndgameRelaunchesTheTokenOnItsReturn) {
+  const EndgameRun sim = plain_steal_endgame(rt::Backend::Sim);
+  EXPECT_LE(sim.worst_gap, 0.002);
+  EXPECT_GE(sim.token_rounds, 2u) << "the first round must fail for the test to bite";
+  // A loaded host can delay a thread's wakeup by milliseconds, so the
+  // native leg takes the best of three runs; a poll-paced relaunch misses
+  // the bound in every one of them.
+  double best = 1.0;
+  for (int attempt = 0; attempt < 3 && best > 0.002; ++attempt) {
+    best = std::min(best, plain_steal_endgame(rt::Backend::Native).worst_gap);
+  }
+  EXPECT_LE(best, 0.002);
 }
 
 // ---------------------------------------------------------------------------

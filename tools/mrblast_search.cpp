@@ -58,7 +58,8 @@ int main(int argc, char** argv) {
   opts.add_flag("tapered", "use a tapered block schedule (Section V dynamic chunking)");
   opts.add("scheduler", "auto",
            "map scheduler: auto|chunk|stride|master|master-ft|steal "
-           "(auto follows the default master-worker style)");
+           "(auto follows the default master-worker style: master on the "
+           "sim backend, steal on native)");
   opts.add_flag("locality", "use the location-aware scheduler");
   opts.add_flag("no-filter", "disable low-complexity filtering");
   opts.add_flag("exclude-self", "drop hits of shredded fragments on their parent");

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   opts.add("style", "chunk", "map style: chunk or master");
   opts.add("scheduler", "auto",
            "map scheduler: auto|chunk|stride|master|master-ft|steal "
-           "(auto follows --style)");
+           "(auto follows --style; master runs as steal on native)");
   opts.add_flag("combiner", "pre-aggregate same-key pairs per destination");
   opts.add("exchange", "flat", "exchange algorithm: flat or tree");
   opts.add("radix", "2", "tree exchange radix (>= 2)");

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   opts.add("style", "chunk", "map style: chunk (deterministic) or master (load-balanced)");
   opts.add("scheduler", "auto",
            "map scheduler: auto|chunk|stride|master|master-ft|steal "
-           "(auto follows --style)");
+           "(auto follows --style; master runs as steal on native)");
   opts.add_flag("deterministic",
                 "with a dynamic scheduler: schedule-independent reduction, so "
                 "the codebook bytes match a fault-tolerant (--faults) run");
