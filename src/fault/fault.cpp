@@ -340,6 +340,13 @@ class JsonReader {
 
 }  // namespace
 
+bool FaultPlan::requires_ft() const {
+  return !crashes.empty() ||
+         std::any_of(messages.begin(), messages.end(), [](const MessageFault& m) {
+           return m.kind != MessageFault::Kind::Delay;
+         });
+}
+
 void FaultPlan::validate(int nranks, bool checkpointing, bool master_failover) const {
   for (const CrashFault& c : crashes) {
     MRBIO_REQUIRE(c.rank >= 0 && c.rank < nranks, "fault plan: crash rank ", c.rank,

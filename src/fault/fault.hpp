@@ -139,14 +139,14 @@ struct FaultPlan {
            corrupts.empty();
   }
 
-  /// True when this plan needs a fault-tolerant scheduling protocol to
-  /// make progress: crash faults lose work that must be re-granted, and
-  /// message faults (drop/dup/delay) hit scheduler traffic, which only the
-  /// seq-numbered resend/replay protocols absorb. Slow ranks, job kills
-  /// and checkpoint corruption shape timing or durable state and run on
-  /// any scheduler. Tools use this to decide whether --faults must force
-  /// ft.enabled on the selected scheduler.
-  bool requires_ft() const { return !crashes.empty() || !messages.empty(); }
+  /// True when this plan needs the fault-tolerant scheduling protocol, and
+  /// so a remote scheduler, to make progress: a crash loses work that must
+  /// be re-granted, and a dropped or duplicated scheduler message is
+  /// absorbed only by the seq-numbered resend/replay protocols. Delays,
+  /// slow ranks, job kills and checkpoint corruption shape timing or
+  /// durable state and run on any scheduler. The drivers gate --faults on
+  /// this one rule.
+  bool requires_ft() const;
 
   /// Throws mrbio::InputError when a fault references a rank outside
   /// [0, nranks), a crash targets the master (rank 0) without a scheduler

@@ -278,10 +278,14 @@ void MapReduce::run_sched(sched::Policy policy, std::uint64_t ntasks,
                         &ckpt_done,     &sstats,       &failed_tasks_};
   sched::make_scheduler(policy)->execute(ctx);
   // The fault counters are signed per map (a task can un-fail); the net is
-  // non-negative by the time the scheduler returns.
+  // non-negative by the time the scheduler returns, so only the net reaches
+  // the registry.
   stats_.tasks_retried += static_cast<std::uint64_t>(sstats.tasks_retried);
   stats_.worker_deaths += static_cast<std::uint64_t>(sstats.worker_deaths);
   stats_.tasks_failed += static_cast<std::uint64_t>(sstats.tasks_failed);
+  if (obs::Registry* reg = metrics(); reg != nullptr && sstats.tasks_failed > 0) {
+    reg->counter("ft.tasks_failed").inc(static_cast<std::uint64_t>(sstats.tasks_failed));
+  }
   stats_.steals_attempted += sstats.steals_attempted;
   stats_.steals_succeeded += sstats.steals_succeeded;
   stats_.tasks_stolen += sstats.tasks_stolen;

@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "common/error.hpp"
+#include "obs/internal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 
@@ -717,15 +718,6 @@ void json_breakdown(std::FILE* out, const RankBreakdown& b) {
                b.comm_overhead, b.idle_other);
 }
 
-void json_string(std::FILE* out, const std::string& s) {
-  std::fputc('"', out);
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') std::fputc('\\', out);
-    std::fputc(ch, out);
-  }
-  std::fputc('"', out);
-}
-
 }  // namespace
 
 void write_report_json(std::FILE* out, const Report& report, const Registry* metrics,
@@ -737,7 +729,7 @@ void write_report_json(std::FILE* out, const Report& report, const Registry* met
   for (std::size_t i = 0; i < report.path.by_label.size(); ++i) {
     if (i != 0) std::fputc(',', out);
     std::fputs("{\"label\":", out);
-    json_string(out, report.path.by_label[i].label);
+    write_json_string(out, report.path.by_label[i].label);
     std::fprintf(out, ",\"seconds\":%.17g}", report.path.by_label[i].seconds);
   }
   std::fputs("],\"segments\":[", out);
@@ -746,7 +738,7 @@ void write_report_json(std::FILE* out, const Report& report, const Registry* met
     if (i != 0) std::fputc(',', out);
     std::fprintf(out, "{\"rank\":%d,\"t0\":%.17g,\"t1\":%.17g,\"label\":", s.rank, s.t0,
                  s.t1);
-    json_string(out, s.label);
+    write_json_string(out, s.label);
     std::fputc('}', out);
   }
   std::fputs("]},\"breakdown\":{\"total\":", out);
@@ -762,7 +754,7 @@ void write_report_json(std::FILE* out, const Report& report, const Registry* met
     if (i != 0) std::fputc(',', out);
     std::fprintf(out, "{\"rank\":%d,\"busy_seconds\":%.17g,\"ratio\":%.17g,\"dominant\":",
                  s.rank, s.busy_seconds, s.ratio);
-    json_string(out, s.dominant);
+    write_json_string(out, s.dominant);
     std::fprintf(out, ",\"dominant_seconds\":%.17g}", s.dominant_seconds);
   }
   std::fputs("],\"phase_skew\":[", out);
@@ -770,7 +762,7 @@ void write_report_json(std::FILE* out, const Report& report, const Registry* met
     const PhaseSkew& ps = report.phase_skew[i];
     if (i != 0) std::fputc(',', out);
     std::fputs("{\"phase\":", out);
-    json_string(out, ps.phase);
+    write_json_string(out, ps.phase);
     std::fprintf(out,
                  ",\"ranks_active\":%d,\"mean\":%.17g,\"max\":%.17g,"
                  "\"max_rank\":%d,\"cov\":%.17g,\"top\":[",
@@ -779,7 +771,7 @@ void write_report_json(std::FILE* out, const Report& report, const Registry* met
       const RankPhaseTime& t = ps.top[j];
       if (j != 0) std::fputc(',', out);
       std::fprintf(out, "{\"rank\":%d,\"seconds\":%.17g,\"dominant\":", t.rank, t.seconds);
-      json_string(out, t.dominant);
+      write_json_string(out, t.dominant);
       std::fprintf(out, ",\"dominant_seconds\":%.17g}", t.dominant_seconds);
     }
     std::fputs("]}", out);

@@ -4,6 +4,7 @@
 #include <cinttypes>
 
 #include "common/error.hpp"
+#include "obs/internal.hpp"
 
 namespace mrbio::obs {
 
@@ -141,19 +142,6 @@ void Registry::print(std::FILE* out) const {
     }
   }
 }
-
-namespace {
-
-void write_json_string(std::FILE* out, const std::string& s) {
-  std::fputc('"', out);
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') std::fputc('\\', out);
-    std::fputc(ch, out);
-  }
-  std::fputc('"', out);
-}
-
-}  // namespace
 
 void Registry::write_json(std::FILE* out) const {
   std::lock_guard<std::mutex> lock(mutex_);

@@ -4,10 +4,9 @@
 #include <cstring>
 
 #include "common/error.hpp"
+#include "obs/internal.hpp"
 
 namespace mrbio::obs {
-
-namespace {
 
 void write_json_string(std::FILE* out, std::string_view s) {
   std::fputc('"', out);
@@ -28,6 +27,8 @@ void write_json_string(std::FILE* out, std::string_view s) {
   }
   std::fputc('"', out);
 }
+
+namespace {
 
 void write_points(std::FILE* out, const std::vector<TsPoint>& pts) {
   std::fputc('[', out);

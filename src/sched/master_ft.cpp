@@ -219,7 +219,6 @@ void run_ledger_master(MapContext& ctx) {
         e.state = TaskState::Failed;
         ++nfailed;
         ++sstats.tasks_failed;
-        if (reg != nullptr) reg->counter("ft.tasks_failed").inc();
       } else {
         e.state = TaskState::Pending;
         e.owner = -1;

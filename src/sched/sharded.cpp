@@ -367,7 +367,6 @@ struct ShardedRun {
       e.state = TState::Failed;
       ++sh.nfail;
       ++sstats.tasks_failed;
-      if (reg != nullptr) reg->counter("ft.tasks_failed").inc();
     } else {
       e.state = TState::Pending;
       e.owner = -1;
@@ -1313,7 +1312,6 @@ struct ShardedRun {
           e.state = TState::Failed;
           ++sh.nfail;
           ++sstats.tasks_failed;
-          if (reg != nullptr) reg->counter("ft.tasks_failed").inc();
         }
       }
       sh.free_q.clear();

@@ -228,6 +228,25 @@ TEST(FaultPlan, ValidateRejectsCorruptWithoutCheckpointing) {
   corrupt.validate(4, /*checkpointing=*/true);  // fine with a checkpoint dir
 }
 
+TEST(FaultPlan, RequiresFtForCrashDropAndDupOnly) {
+  // The drivers' one gate: these kinds need the ft protocol (and so a
+  // remote scheduler); the rest run on any scheduler.
+  const std::pair<const char*, bool> table[] = {
+      {"crash:rank=1@t=0.4", true},
+      {"drop:src=1,dst=0,count=2", true},
+      {"dup:src=-1,dst=-1,count=5", true},
+      {"delay:src=-1,dst=-1,by=0.05,count=3", false},
+      {"slow:rank=2,factor=4", false},
+      {"kill:t=0.3", false},
+      {"corrupt:target=map,count=3", false},
+      {"delay:src=-1,dst=-1,by=0.05; slow:rank=2,factor=4; kill:t=0.3", false},
+      {"delay:src=-1,dst=-1,by=0.05; dup:dst=0", true},
+  };
+  for (const auto& [spec, needs_ft] : table) {
+    EXPECT_EQ(FaultPlan::parse(spec).requires_ft(), needs_ft) << spec;
+  }
+}
+
 TEST(Injector, KillThrowsOnEveryPollOnceDue) {
   Injector inj(FaultPlan::parse("kill:t=1.0"));
   EXPECT_NO_THROW(inj.maybe_crash(0, 0.5));

@@ -339,7 +339,8 @@ TEST(MrBlastSim, FailedTasksAreCountedOnEveryShardOwner) {
   // two units take 10 s each. Rank 2's transient crash on its first unit
   // frees both; rank 0, drained, is granted one with a 0.3 s deadline and
   // no retries, so the shard's owner fails it, and rank 0's permanent
-  // crash ensures no late completion rescues it.
+  // crash ensures no late completion rescues it. The registry's
+  // ft.tasks_failed counts that one task, not every expiry of it.
   SimRunConfig config;
   config.workload.total_queries = 24;
   config.workload.block_sizes = {1, 1, 1, 1, 10, 10};
@@ -360,6 +361,8 @@ TEST(MrBlastSim, FailedTasksAreCountedOnEveryShardOwner) {
   ec.nprocs = 3;
   ec.stack_bytes = 256 * 1024;
   ec.injector = &injector;
+  obs::Registry registry;
+  ec.metrics = &registry;
   sim::Engine engine(ec);
   std::vector<std::uint64_t> reported(3, 0);
   engine.run([&](sim::Process& p) {
@@ -371,6 +374,9 @@ TEST(MrBlastSim, FailedTasksAreCountedOnEveryShardOwner) {
   for (std::size_t r = 0; r < reported.size(); ++r) {
     EXPECT_EQ(reported[r], 1u) << "rank " << r;
   }
+  const obs::Counter* failed = registry.find_counter("ft.tasks_failed");
+  ASSERT_NE(failed, nullptr);
+  EXPECT_EQ(failed->value(), 1u);
 }
 
 TEST(MrBlastSim, DeterministicElapsed) {

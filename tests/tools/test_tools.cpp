@@ -3,10 +3,12 @@
 // trainer on both input modes. Tool binary paths are injected by CMake.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <sstream>
 
 #include <sys/wait.h>
 
@@ -252,8 +254,7 @@ TEST_F(ToolsTest, SomTrainerOnFastaTetra) {
   Rng rng(13);
   std::vector<blast::Sequence> frags;
   for (int i = 0; i < 60; ++i) {
-    frags.push_back(blast::random_sequence(rng, "f" + std::to_string(i), 800,
-                                           blast::SeqType::Dna));
+    frags.push_back(blast::random_sequence(rng, format_msg("f", i), 800, blast::SeqType::Dna));
   }
   blast::write_fasta_file(path("frags.fa"), frags, blast::SeqType::Dna);
   ASSERT_EQ(run(tool("mrsom_train") + " --fasta " + path("frags.fa") +
@@ -410,8 +411,7 @@ TEST_F(ToolsTest, LogJsonKeepsStderrByteIdentical) {
   Rng rng(21);
   std::vector<blast::Sequence> frags;
   for (int i = 0; i < 30; ++i) {
-    frags.push_back(blast::random_sequence(rng, "f" + std::to_string(i), 600,
-                                           blast::SeqType::Dna));
+    frags.push_back(blast::random_sequence(rng, format_msg("f", i), 600, blast::SeqType::Dna));
   }
   blast::write_fasta_file(path("frags.fa"), frags, blast::SeqType::Dna);
   const std::string train = tool("mrsom_train") + " --fasta " + path("frags.fa") +
@@ -429,6 +429,164 @@ TEST_F(ToolsTest, LogJsonKeepsStderrByteIdentical) {
   const std::string events = slurp(path("events.jsonl"));
   EXPECT_NE(events.find("\"severity\":\"warn\""), std::string::npos);
   EXPECT_NE(events.find("no checkpoint found"), std::string::npos);
+}
+
+// The shared run flags of tools/driver.hpp plus each driver's domain flags,
+// with their defaults ("name=default"; switches bare): the command-line
+// surface must not drift as the drivers' plumbing moves.
+TEST_F(ToolsTest, DriverHelpListsTheirFlagsAndDefaults) {
+  const std::vector<std::string> shared = {
+      "backend=sim", "checkpoint-dir=", "checkpoint-interval=5", "faults=",
+      "ft-retries=3", "ft-timeout=auto", "heartbeat=", "ledger-ranks=0",
+      "log-json=", "log=", "metrics-out=", "ranks=0", "report", "report-json=",
+      "resume", "scheduler=auto", "simd=auto", "timeseries-out=", "trace="};
+  const std::map<std::string, std::vector<std::string>> domain = {
+      {"mrblast_search",
+       {"block=1000", "blocks-per-iter=0", "db=", "evalue=10", "exclude-self", "locality",
+        "max-hits=500", "no-filter", "out=mrblast_out", "query=", "tapered", "trace-full",
+        "type=nucl", "virtual-rate=auto"}},
+      {"mrsom_train",
+       {"block=40", "cols=50", "deterministic", "dim=0", "epochs=10", "fasta=", "init=pca",
+        "matrix=", "out=mrsom", "planes=0", "rows=50", "seed=2011", "style=chunk", "tetra",
+        "trace-full"}},
+      {"mrgraph_build",
+       {"block=16", "combiner", "compress", "compute-cell=0", "exchange=flat", "family=8",
+        "fasta=", "memsize=0", "min-score=24", "mutate=0.05", "nseq=96", "out-dir=",
+        "overlap-spill", "page-to-disk", "radix=2", "seed=42", "seqlen=200", "style=chunk",
+        "word=8", "xdrop=20"}},
+  };
+  for (const auto& [name, own] : domain) {
+    ASSERT_EQ(run(tool(name) + " --help"), 0) << name;
+    std::vector<std::string> listed;
+    std::istringstream in(stdout_text());
+    for (std::string line, help; std::getline(in, line);) {
+      if (line.rfind("  --", 0) != 0 || line == "  --help") continue;
+      std::string flag = line.substr(4, line.find(' ', 4) - 4);
+      if (line.find("<value>") != std::string::npos) {
+        std::getline(in, help);
+        const std::size_t at = help.rfind("(default: ");
+        ASSERT_NE(at, std::string::npos) << help;
+        flag += "=" + help.substr(at + 10, help.size() - at - 11);
+      }
+      listed.push_back(flag);
+    }
+    std::vector<std::string> want = shared;
+    want.insert(want.end(), own.begin(), own.end());
+    std::sort(want.begin(), want.end());
+    std::sort(listed.begin(), listed.end());
+    EXPECT_EQ(listed, want) << name;
+  }
+}
+
+TEST_F(ToolsTest, GraphCheckpointDirIsRemovedAfterSuccess) {
+  // A finished run leaves no checkpoint behind, so the same command runs
+  // again without --resume.
+  const std::string cmd = tool("mrgraph_build") + " --nseq 32 --family 8 --ranks 4" +
+                          " --checkpoint-dir " + path("ck");
+  ASSERT_EQ(run(cmd), 0) << stderr_text();
+  EXPECT_NE(stdout_text().find("checkpoint: "), std::string::npos) << stdout_text();
+  EXPECT_FALSE(fs::exists(path("ck")));
+  EXPECT_EQ(run(cmd), 0) << stderr_text();
+}
+
+TEST_F(ToolsTest, GraphFilesystemErrorExitsOneWithErrorLine) {
+  std::ofstream(path("plain_file")) << "x";
+  const int rc = run(tool("mrgraph_build") + " --nseq 32 --family 8 --ranks 4 --out-dir " +
+                     path("plain_file") + "/sub");
+  ASSERT_TRUE(WIFEXITED(rc)) << "killed by a signal: " << rc;
+  EXPECT_EQ(WEXITSTATUS(rc), 1);
+  EXPECT_NE(stderr_text().find("[ERROR] mrgraph_build: "), std::string::npos)
+      << stderr_text();
+}
+
+TEST_F(ToolsTest, GraphDupPlanUnderMasterStyleRunsTheLedger) {
+  // A dup needs the ft protocol: under --style master it turns the ledger
+  // on (the plain master-worker loop deadlocks on a duplicated grant), and
+  // under a static map it is rejected up front.
+  const std::string base = tool("mrgraph_build") +
+                           " --nseq 32 --family 8 --block 4 --ranks 4 --compute-cell 1e-7";
+  const auto checksum = [&] {
+    const std::string out = stdout_text();
+    const std::size_t at = out.find("checksum ");
+    return at == std::string::npos ? std::string() : out.substr(at, 25);
+  };
+  ASSERT_EQ(run(base + " --style master --out-dir " + path("clean")), 0) << stderr_text();
+  const std::string want = checksum();
+  ASSERT_FALSE(want.empty());
+  ASSERT_EQ(run(base + " --style master --out-dir " + path("dup") +
+                " --faults \"dup:src=-1,dst=-1,count=5\""),
+            0)
+      << stderr_text();
+  EXPECT_EQ(checksum(), want);
+  EXPECT_NE(stdout_text().find("5 duplicates"), std::string::npos) << stdout_text();
+  for (int r = 0; r < 4; ++r) {
+    const std::string name = "/edges." + std::to_string(r) + ".tsv";
+    EXPECT_EQ(slurp(path("dup") + name), slurp(path("clean") + name)) << name;
+  }
+  EXPECT_NE(run(base + " --faults \"dup:src=-1,dst=-1,count=5\""), 0);
+}
+
+TEST_F(ToolsTest, SomFailedOutputKeepsCheckpointForResume) {
+  // The checkpoint outlives a run whose own outputs fail to write, so
+  // --resume restores the trained codebook instead of training afresh.
+  Rng rng(17);
+  Matrix data(60, 4);
+  for (std::size_t r = 0; r < data.rows(); ++r) {
+    for (float& v : data.row(r)) v = static_cast<float>(rng.uniform());
+  }
+  write_raw_matrix(path("data.raw"), data.view());
+  const std::string train = tool("mrsom_train") + " --matrix " + path("data.raw") +
+                            " --dim 4 --rows 3 --cols 3 --epochs 2 --block 10 --ranks 3";
+  ASSERT_EQ(run(train + " --out " + path("clean")), 0) << stderr_text();
+  const std::string ckpt = train + " --checkpoint-dir " + path("ck") + " --out " +
+                           path("nodir") + "/som";
+  const int failed = run(ckpt);
+  ASSERT_TRUE(WIFEXITED(failed) && WEXITSTATUS(failed) == 1) << stderr_text();
+  EXPECT_TRUE(fs::exists(path("ck")));
+
+  fs::create_directories(path("nodir"));
+  ASSERT_EQ(run(ckpt + " --resume"), 0) << stderr_text();
+  EXPECT_EQ(stderr_text().find("no checkpoint found"), std::string::npos) << stderr_text();
+  EXPECT_EQ(slurp(path("nodir") + "/som.cb"), slurp(path("clean.cb")));
+  EXPECT_FALSE(fs::exists(path("ck")));
+}
+
+TEST_F(ToolsTest, BlastDelayPlanRunsOnAnySchedulerWithFaultFreeHits) {
+  // A delay only shapes the timeline: it needs no ft protocol, so static
+  // maps accept it and every scheduler writes the fault-free hits.
+  Rng rng(29);
+  std::vector<blast::Sequence> genomes;
+  for (int g = 0; g < 2; ++g) {
+    genomes.push_back(
+        blast::random_sequence(rng, "genome" + std::to_string(g), 900, blast::SeqType::Dna));
+  }
+  blast::write_fasta_file(path("genomes.fa"), genomes, blast::SeqType::Dna);
+  ASSERT_EQ(run(tool("shred_fasta") + " --in " + path("genomes.fa") + " --out " +
+                path("reads.fa") + " --length 200 --overlap 100"),
+            0);
+  ASSERT_EQ(run(tool("mrformatdb") + " --in " + path("genomes.fa") + " --out " +
+                path("db") + " --volume-residues 1000"),
+            0);
+  const std::string search = tool("mrblast_search") + " --query " + path("reads.fa") +
+                             " --db " + path("db.mal") + " --ranks 3 --block 4 --evalue 1e-6";
+  const auto hits_of = [&](const std::string& out) {
+    std::map<std::string, std::string> files;
+    for (const auto& entry : fs::directory_iterator(path(out))) {
+      files[entry.path().filename().string()] = slurp(entry.path());
+    }
+    return files;
+  };
+  ASSERT_EQ(run(search + " --out " + path("clean")), 0) << stderr_text();
+  const auto want = hits_of("clean");
+  ASSERT_FALSE(want.empty());
+  for (const char* sched : {"chunk", "stride", "auto"}) {
+    const std::string out = std::string("delay_") + sched;
+    ASSERT_EQ(run(search + " --out " + path(out) + " --scheduler " + sched +
+                  " --faults \"delay:src=-1,dst=-1,by=0.05,count=3\""),
+              0)
+        << sched << ": " << stderr_text();
+    EXPECT_EQ(hits_of(out), want) << sched;
+  }
 }
 
 // ISSUE 7 acceptance: the bench matrix round-trips through compare against
